@@ -3,6 +3,9 @@
 The goldens pin the simulator's exact floats: ``tests/test_golden_traces.py``
 re-runs the same seeded grid and asserts digest-identity, which is how
 hot-path optimizations prove they did not move a single result bit.
+The grid has 14 cells (8 single-bottleneck, 4 churned parking-lot,
+2 wired-reverse asymmetric dumbbell), all run on the one per-hop
+event-transit engine; scenario names carry no transit or engine axis.
 
 Only regenerate when a PR *intentionally* changes simulation results
 (new physics, fixed accounting) -- never to paper over an optimization

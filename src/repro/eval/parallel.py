@@ -313,7 +313,6 @@ class ScenarioResult:
                 "path": path,
                 "churn": (self.scenario.churn.label()
                           if self.scenario.churn is not None else None),
-                "transit": self.scenario.transit,
                 "seed": self.scenario.seed,
                 "duration": self.scenario.duration,
                 "throughput_pps": (record.mean_throughput_pps

@@ -36,9 +36,10 @@ All randomness is confined to two named streams minted in
   engine) queries arrive;
 * Gilbert-Elliott chains draw from ``link.fault-loss`` once per
   offered packet (plus one loss draw when the current state's loss
-  probability is positive), in transmit order.  Reference and kernel
-  engines offer packets to a faulted link in the identical event
-  order, so the chains -- and hence digests -- match bit for bit.
+  probability is positive), in transmit order.  The engine offers
+  packets to a faulted link in heap order however its run is sliced,
+  so the chains -- and hence digests -- match bit for bit between a
+  one-shot run and any ``step_until`` slicing of it.
 
 A fault never zeroes the service rate (downtime is modelled as a busy
 floor or an admission drop, and brownout factors are validated

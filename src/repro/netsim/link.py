@@ -98,10 +98,10 @@ class Link:
         self.dropped_random = 0
         self.dropped_fault = 0
         #: Timestamp of the most recent ``transmit()`` offer.  A FIFO
-        #: server only sees time-ordered arrivals; the eager transit
-        #: scheme violates that on shared downstream hops (it offers
-        #: future-stamped packets interleaved with present ones), which
-        #: ``reordered`` counts.  The event-driven scheduler keeps this
+        #: server only sees time-ordered arrivals; ``reordered`` counts
+        #: offers stamped earlier than the one before (what a transit
+        #: scheme that future-stamps packets across shared downstream
+        #: hops would produce).  The per-hop event scheduler keeps this
         #: at zero on every link.
         self.last_arrival = float("-inf")
         self.reordered = 0

@@ -11,10 +11,10 @@ Four layers of guarantees:
 * **Faults-off is bit-identical.**  A topology without faults builds
   links with ``fault is None`` -- the golden-trace suite pins the
   fast path itself.
-* **Engines agree under faults.**  Every fault configuration produces
-  identical record digests on the reference and kernel engines, under
-  both transit schemes, and identically through serial, process-pool,
-  and batched dispatch.
+* **Slicing and dispatch are invisible under faults.**  Every fault
+  configuration produces identical record digests whether a cell runs
+  in one shot or in ``step_until`` slices, and identically through
+  serial, process-pool, and batched dispatch.
 """
 
 import hashlib
@@ -23,7 +23,11 @@ import json
 import pytest
 
 from repro.eval.parallel import ParallelRunner, _record_to_json
-from repro.eval.scenarios import ScenarioSuite, _topology_signature
+from repro.eval.scenarios import (
+    ScenarioSuite,
+    _topology_signature,
+    build_scenario_simulation,
+)
 from repro.netsim.faults import (
     BlackoutWindow,
     FaultProcess,
@@ -184,23 +188,30 @@ class TestFaultProcess:
         assert draws(c) != base
 
 
-def faulted_suite(engine, transit="event", schemes=("cubic", "vivace"),
-                  faults=None):
+def faulted_suite(schemes=("cubic", "vivace"), faults=None):
     topo = parking_lot(2, bandwidth_mbps=6.0, delay_ms=8.0)
     return ScenarioSuite(
-        name=f"faults-{engine}-{transit}",
+        name="faults",
         lineups=[schemes],
         topologies=(topo,),
         faults=(faults if faults is not None
                 else {"hop0": (FLAP, GE), "hop1": (BROWNOUT, BLACKOUT)},),
-        transits=(transit,),
-        engines=(engine,),
         duration=4.0,
         seeds=(0,))
 
 
+def sliced_digest(scenario, slice_seconds=0.13) -> tuple:
+    """``(digest, events)`` of a cell driven in ``step_until`` slices."""
+    sim = build_scenario_simulation(scenario)
+    horizon = 0.0
+    while not sim.state.done:
+        horizon += slice_seconds
+        sim.state.step_until(horizon)
+    return records_digest(sim.run_all()), sim.events_processed
+
+
 class TestEngineIdentityUnderFaults:
-    """reference == kernel, event and eager, across fault mixes."""
+    """step_until-sliced == one-shot, across fault mixes."""
 
     CONFIGS = [
         {"hop0": (FLAP,)},
@@ -212,47 +223,37 @@ class TestEngineIdentityUnderFaults:
         {"hop0": (FLAP, GE), "hop1": (BROWNOUT, BLACKOUT)},
     ]
 
-    @pytest.mark.parametrize("transit", ["event", "eager"])
     @pytest.mark.parametrize("config", CONFIGS,
                              ids=lambda c: "+".join(
                                  f"{k}:{'+'.join(type(s).__name__ for s in v)}"
                                  for k, v in sorted(c.items())))
-    def test_digests_match(self, transit, config):
-        digests = {}
-        for engine in ("reference", "kernel"):
-            suite = faulted_suite(engine, transit=transit, faults=config)
-            runner = ParallelRunner(n_workers=1, use_cache=False)
-            result = runner.run(suite)
-            digests[engine] = [
-                (records_digest(r.records), r.events) for r in result]
-        assert digests["reference"] == digests["kernel"]
+    def test_digests_match(self, config):
+        suite = faulted_suite(faults=config)
+        result = ParallelRunner(n_workers=1, use_cache=False).run(suite)
+        one_shot = [(records_digest(r.records), r.events) for r in result]
+        assert [sliced_digest(s) for s in suite.expand()] == one_shot
         # a fault mix that never perturbs anything would vacuously pass:
         # the same lineup without faults must differ
         clean = ParallelRunner(n_workers=1, use_cache=False).run(
-            faulted_suite("reference", transit=transit,
-                          faults={"hop0": ()}))
+            faulted_suite(faults={"hop0": ()}))
         clean_digests = [(records_digest(r.records), r.events)
                          for r in clean]
-        assert clean_digests != digests["reference"]
+        assert clean_digests != one_shot
 
 
 class TestDispatchIdentityUnderFaults:
     """serial == process-pool == batched for a faulted grid."""
 
     def test_all_dispatch_paths_agree(self):
-        def grid(engine):
-            return ScenarioSuite(
-                name="faults-dispatch",
-                lineups=[("cubic", "bbr")],
-                topologies=(parking_lot(2, bandwidth_mbps=6.0),),
-                faults=(None, {"hop0": (FLAP, GE)}),
-                engines=(engine,),
-                duration=3.0,
-                seeds=(0, 1))
-
-        for engine in ("reference", "kernel"):
-            serial = suite_digests(grid(engine), n_workers=1)
-            pooled = suite_digests(grid(engine), n_workers=2, batch_size=1)
-            batched = suite_digests(grid(engine), n_workers=2, batch_size=3)
-            assert serial == pooled == batched
-            assert len(serial) == 4  # faults axis (2) x seeds (2)
+        grid = ScenarioSuite(
+            name="faults-dispatch",
+            lineups=[("cubic", "bbr")],
+            topologies=(parking_lot(2, bandwidth_mbps=6.0),),
+            faults=(None, {"hop0": (FLAP, GE)}),
+            duration=3.0,
+            seeds=(0, 1))
+        serial = suite_digests(grid, n_workers=1)
+        pooled = suite_digests(grid, n_workers=2, batch_size=1)
+        batched = suite_digests(grid, n_workers=2, batch_size=3)
+        assert serial == pooled == batched
+        assert len(serial) == 4  # faults axis (2) x seeds (2)

@@ -5,9 +5,9 @@ allocation-free transit, flat-buffer MI statistics, block-drawn RNG)
 under a hard guarantee: **the floats do not move**.  These tests pin
 that guarantee to goldens generated from the *pre-optimization* engine
 (see ``scripts/make_engine_goldens.py``): a seeded multi-flow,
-multi-hop, wired-reverse grid is re-run on the current engine, under
-both transit modes, and every scenario's full result rows (per-MI
-records included) must digest-identically match.
+multi-hop, wired-reverse grid is re-run on the current engine, and
+every scenario's full result rows (per-MI records included) must
+digest-identically match.
 
 The digest covers every float the result cache persists, serialized
 via JSON ``repr`` (shortest round-trip -- exact for float64).  A
@@ -37,9 +37,8 @@ GOLDEN_PATH = Path(__file__).parent / "goldens" / "engine_golden.json"
 
 def golden_suites() -> tuple:
     """The pinned grid: single-bottleneck x loss x trace, a churned
-    parking lot, and a wired-reverse asymmetric dumbbell -- every cell
-    under both transit engines.  Heuristic schemes only (no model zoo),
-    fixed seeds, short durations."""
+    parking lot, and a wired-reverse asymmetric dumbbell.  Heuristic
+    schemes only (no model zoo), fixed seeds, short durations."""
     lot = parking_lot(2, bandwidth_mbps=12.0, delay_ms=6.0)
     asym = dumbbell_asymmetric(bandwidth_mbps=12.0, delay_ms=6.0,
                                reverse_bandwidth_mbps=1.2)
@@ -48,8 +47,7 @@ def golden_suites() -> tuple:
         lineups={"duo": ("cubic", "bbr"),
                  "trio": ("copa", "vivace", "vegas")},
         bandwidths_mbps=(8.0,), losses=(0.0, 0.02),
-        traces=(None, "fig1-step"), transits=("event", "eager"),
-        duration=4.0, seeds=(11,))
+        traces=(None, "fig1-step"), duration=4.0, seeds=(11,))
     lot_suite = ScenarioSuite(
         name="golden-lot",
         lineups={f"{s}-through": (
@@ -60,15 +58,14 @@ def golden_suites() -> tuple:
         topologies=(lot,),
         churns=(None, ChurnSchedule("on-off", gap=1.0, on_time=1.5,
                                     period=2.5, skip=1)),
-        transits=("event", "eager"), duration=4.0, seeds=(11,))
+        duration=4.0, seeds=(11,))
     ack_suite = ScenarioSuite(
         name="golden-ack",
         lineups={f"{s}-dl": (
             FlowDef(s, path="through", label=f"{s}-dl"),
             FlowDef("cubic", path="reverse", label="ul0"))
             for s in ("cubic", "vivace")},
-        topologies=(asym,), transits=("event", "eager"),
-        duration=4.0, seeds=(11,))
+        topologies=(asym,), duration=4.0, seeds=(11,))
     return single, lot_suite, ack_suite
 
 
@@ -128,8 +125,3 @@ class TestGoldenTraces:
             assert not mismatched, (
                 f"{len(mismatched)} scenario(s) diverged from the "
                 f"pre-optimization goldens: {mismatched[:5]}")
-
-    def test_both_transit_modes_covered(self, goldens):
-        names = list(goldens["scenarios"])
-        assert any("transit=event" in n for n in names)
-        assert any("transit=eager" in n for n in names)
