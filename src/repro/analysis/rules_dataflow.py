@@ -389,10 +389,6 @@ ENV_ALLOWLIST = {
     "REPRO_MODEL_CACHE":
         "model checkpoint directory; checkpoints are keyed by pipeline "
         "version + training-config fingerprint, not by path",
-    "REPRO_SWEEP_CHECKPOINT":
-        "checkpoint journal *location* only; the journal decides which "
-        "fingerprint-matched cells are skipped on resume, and restored "
-        "rows are the checksummed records the original run produced",
 }
 
 #: Modules whose execution produces results or cache rows: a tainted

@@ -6,16 +6,24 @@ cell of the condition x scheme matrix is an independent simulation), so
 :class:`~repro.eval.scenarios.ScenarioSuite` across OS processes,
 mirroring the picklable-spec idiom of :class:`repro.rl.parallel.EnvSpec`.
 
+Multi-worker runs dispatch through
+:class:`~repro.eval.resilience.ResilientPool`, so a dead worker turns
+into failed cells instead of a hung sweep.
+
 Completed scenarios are memoized on disk keyed by
 :meth:`Scenario.fingerprint`, so re-runs only pay for the cells that
-changed; a second run of an unchanged suite is pure cache reads.
-Results aggregate into a tidy :class:`ResultTable` (one row per flow
-per scenario) plus the raw per-MI :class:`FlowRecord` streams for the
-fairness/CDF analyses.
+changed; a second run of an unchanged suite is pure cache reads.  The
+cache is also the resume store: an entry keeps its cell's wall time
+and event count next to the records, so a grid interrupted midway and
+re-run against the same cache directory comes back row-for-row as an
+uninterrupted run would have.  Results aggregate into a tidy
+:class:`ResultTable` (one row per flow per scenario) plus the raw
+per-MI :class:`FlowRecord` streams for the fairness/CDF analyses.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import multiprocessing as mp
@@ -28,11 +36,8 @@ import numpy as np
 
 from repro.eval.batch import BatchRunner, warm_agent_refs
 from repro.eval.resilience import (
-    MI_FIELDS,
-    RECORD_FIELDS,
     ResilientPool,
     RetryPolicy,
-    SweepCheckpoint,
     record_from_json,
     record_to_json,
 )
@@ -63,22 +68,20 @@ class ScenarioError(RuntimeError):
             message += f": {detail}"
         super().__init__(message)
 
-# Record (de)serialization lives in repro.eval.resilience (shared with
-# the checkpoint journal); the old private names stay importable.
-_MI_FIELDS = MI_FIELDS
-_RECORD_FIELDS = RECORD_FIELDS
-_record_to_json = record_to_json
-_record_from_json = record_from_json
+
+#: Cache-entry keys the content checksum covers.
+_CHECKED_KEYS = ("elapsed", "events", "records")
 
 
-def _payload_sha(records_payload: list) -> str:
-    """Content checksum of a cache entry's serialised record list.
+def _payload_sha(payload: dict) -> str:
+    """Content checksum of a cache entry's records, wall time and events.
 
     Canonical-JSON based so it survives a write/parse round trip:
     verifying re-dumps the *parsed* payload and compares, which only
     works because ``json.dumps`` emits shortest-round-trip floats.
     """
-    body = json.dumps(records_payload, sort_keys=True)
+    body = json.dumps({key: payload[key] for key in _CHECKED_KEYS},
+                      sort_keys=True)
     return hashlib.sha256(body.encode("utf-8")).hexdigest()
 
 
@@ -90,6 +93,12 @@ DEFAULT_CACHE_MAX_MB = 2048.0
 
 class ResultCache:
     """Fingerprint-keyed store of finished scenario results (JSON files).
+
+    An entry holds the cell's records plus the wall time and event
+    count of the run that produced them, all under one content
+    checksum, so a hit restores the original result row -- which is
+    what makes re-running an interrupted sweep a resume.  An evicted
+    entry only costs time: its cell is recomputed bit-identically.
 
     The default location is ``repro/eval/_cache`` next to the model
     cache; set ``REPRO_RESULT_CACHE`` to relocate it (CI points it at a
@@ -135,7 +144,9 @@ class ResultCache:
         except OSError:
             pass
 
-    def get(self, fingerprint: str) -> list[FlowRecord] | None:
+    def get(self, fingerprint: str
+            ) -> tuple[list[FlowRecord], float, int] | None:
+        """``(records, elapsed, events)`` of a stored cell, or ``None``."""
         path = self._path(fingerprint)
         if not path.exists():
             return None
@@ -158,10 +169,10 @@ class ResultCache:
         if version != SCENARIO_CACHE_VERSION:
             return None  # stale format: put() will overwrite it
         try:
-            body = payload["records"]
-            if payload.get("sha") != _payload_sha(body):
+            if payload.get("sha") != _payload_sha(payload):
                 raise ValueError("cache entry failed its content checksum")
-            records = [_record_from_json(r) for r in body]
+            hit = ([record_from_json(r) for r in payload["records"]],
+                   float(payload["elapsed"]), int(payload["events"]))
         except (ValueError, KeyError, TypeError, AttributeError):
             self._quarantine(path)
             return None
@@ -169,13 +180,14 @@ class ResultCache:
             os.utime(path)  # LRU touch: a hit keeps the entry young
         except OSError:
             pass
-        return records
+        return hit
 
-    def put(self, fingerprint: str, name: str, records: list[FlowRecord]) -> None:
-        records_payload = [_record_to_json(r) for r in records]
+    def put(self, fingerprint: str, name: str, records: list[FlowRecord],
+            elapsed: float, events: int) -> None:
         payload = {"version": SCENARIO_CACHE_VERSION, "name": name,
-                   "sha": _payload_sha(records_payload),
-                   "records": records_payload}
+                   "elapsed": float(elapsed), "events": int(events),
+                   "records": [record_to_json(r) for r in records]}
+        payload["sha"] = _payload_sha(payload)
         path = self._path(fingerprint)
         tmp = path.with_suffix(".tmp")
         tmp.write_text(json.dumps(payload))
@@ -261,10 +273,13 @@ class ScenarioResult:
     scenario: Scenario
     records: list[FlowRecord]
     cached: bool = False
+    #: Wall time of the simulation that produced ``records``; a
+    #: cache-served result carries the producing run's figure.
     elapsed: float = 0.0
-    #: Heap events the simulation dispatched (0 for cache-served
-    #: results -- no simulation ran).  Feeds the suite-level
-    #: events/sec engine-speed metric (see :mod:`repro.eval.perf`).
+    #: Heap events that simulation dispatched (likewise restored from
+    #: the cache on a hit).  Feeds the suite-level events/sec
+    #: engine-speed metric, which counts executed cells only (see
+    #: :mod:`repro.eval.perf`).
     events: int = 0
     #: Failure detail when the cell failed inside a budgeted run
     #: (``ParallelRunner(max_failures=...)``); ``None`` for healthy
@@ -327,9 +342,9 @@ class ScenarioResult:
                               if record is not None else None),
                 "cached": self.cached,
                 "error": self.error,
-                # Per-cell engine accounting (0/0.0 for cache-served
-                # cells): lets batched and per-process runs be compared
-                # cell by cell straight from the table.
+                # Per-cell engine accounting (the producing run's for
+                # cache-served cells): lets batched and per-process
+                # runs be compared cell by cell straight from the table.
                 "events": self.events,
                 "wall_s": self.elapsed,
             })
@@ -497,7 +512,8 @@ class ParallelRunner:
 
     ``n_workers <= 1`` runs in-process (the reference serial path);
     results are bit-identical either way because every scenario is a
-    self-contained, seeded simulation.  Workers are forked per ``run``
+    self-contained, seeded simulation.  Multi-worker runs go through
+    :class:`~repro.eval.resilience.ResilientPool`, forked per ``run``
     call *after* agent references resolve in the parent, so children
     inherit the loaded models through copy-on-write memory instead of
     re-reading (or worse, re-training) them.
@@ -512,32 +528,29 @@ class ParallelRunner:
 
     A failing scenario raises :class:`ScenarioError` naming the cell.
     With ``early_abort=True`` batching is disabled (cells dispatch
-    one-per-task, exactly the pre-batching shape) so the first failure
-    cancels outstanding shards immediately -- the pool is torn down,
-    queued cells never start; otherwise the rest of the suite
-    completes -- and is cached -- before the error is raised.
-    ``max_failures`` trades that hard stop for a budget: up to that
-    many failed cells are recorded as result rows carrying an
-    ``error`` column (metrics ``None``) and the run succeeds; the
-    failure past the budget aborts as before.
+    one-per-task) so the first failure cancels outstanding shards
+    immediately -- the pool is torn down, queued cells never start;
+    otherwise the rest of the suite completes -- and is cached --
+    before the error is raised.  ``max_failures`` trades that hard
+    stop for a budget: up to that many failed cells are recorded as
+    result rows carrying an ``error`` column (metrics ``None``) and
+    the run succeeds; the failure past the budget aborts as before.
 
-    Resilience knobs (all off by default -- the default dispatch path
-    is byte-for-byte the classic ``multiprocessing.Pool``):
+    Resilience:
 
-    * ``retry=RetryPolicy(...)`` and/or ``cell_timeout=seconds``
-      switch multi-worker dispatch to
-      :class:`~repro.eval.resilience.ResilientPool`: a worker that
-      crashes or blows its deadline (``cell_timeout`` x cells in the
-      batch) is respawned and the batch re-run within the retry
-      budget, then reported as failed cells.  Results are bit-identical
-      to the classic pool -- cells are pure seeded simulations.
-    * ``checkpoint=path`` journals every completed cell to a
-      :class:`~repro.eval.resilience.SweepCheckpoint`; re-running the
-      same suite resumes from the completed cells with their original
-      records, wall times, and event counts (row-for-row identical to
-      an uninterrupted run).  ``REPRO_SWEEP_CHECKPOINT`` supplies a
-      default path.  The journal only ever affects *which cells
-      execute*, never their results.
+    * A worker that dies mid-batch (OOM kill, segfault) fails that
+      batch's cells with a ``WorkerCrash`` error -- the sweep never
+      hangs.  ``retry=RetryPolicy(...)`` re-runs such a batch within
+      its budget (default: one attempt), and ``cell_timeout=seconds``
+      gives every batch a deadline of ``cell_timeout`` x its cells
+      (default: none), after which its worker is killed the same way.
+      Retried results are bit-identical -- cells are pure seeded
+      simulations.
+    * Resume is a property of the cache: every finished cell is stored
+      with its records, wall time, and event count, so re-running an
+      interrupted suite against the same ``cache_dir`` restores the
+      completed cells row-for-row (``cached=True``) and executes only
+      the rest.
     """
 
     #: Auto batch sizing: leave at least this many batches per worker
@@ -554,8 +567,7 @@ class ParallelRunner:
                  batch_size: int | None = None,
                  max_failures: int | None = None,
                  cell_timeout: float | None = None,
-                 retry: RetryPolicy | None = None,
-                 checkpoint: str | Path | None = None):
+                 retry: RetryPolicy | None = None):
         if n_workers is None:
             n_workers = max(1, min(mp.cpu_count(), 8))
         self.n_workers = int(n_workers)
@@ -576,11 +588,6 @@ class ParallelRunner:
         if retry is not None and not isinstance(retry, RetryPolicy):
             raise TypeError("retry must be a RetryPolicy")
         self.retry = retry
-        if checkpoint is None:
-            # Checkpoint location never reaches a simulation: it only
-            # decides which already-journaled cells are skipped.
-            checkpoint = os.environ.get("REPRO_SWEEP_CHECKPOINT") or None
-        self.checkpoint_path = None if checkpoint is None else Path(checkpoint)
 
     def _warm_agents(self, scenarios: list[Scenario]) -> None:
         warm_agent_refs(scenarios)
@@ -603,40 +610,18 @@ class ParallelRunner:
             scenarios = list(suite)
         t0 = time.perf_counter()
 
-        checkpoint: SweepCheckpoint | None = None
-        restored: dict[int, tuple] = {}
-        fingerprints: list[str | None] = [None] * len(scenarios)
-        if self.checkpoint_path is not None:
-            fingerprints = [s.fingerprint() for s in scenarios]
-            checkpoint = SweepCheckpoint(self.checkpoint_path)
-            restored = checkpoint.resume(fingerprints)
-
-        try:
-            return self._run_cells(scenarios, fingerprints, restored,
-                                   checkpoint, t0)
-        finally:
-            if checkpoint is not None:
-                checkpoint.close()
-
-    def _run_cells(self, scenarios, fingerprints, restored, checkpoint, t0):
         results: dict[int, ScenarioResult] = {}
         pending: list[tuple[int, Scenario, str | None]] = []
         for idx, scenario in enumerate(scenarios):
-            if idx in restored:
-                # Journaled by an earlier (interrupted) run: restore
-                # the original records, wall time, and event count so
-                # the resumed table is row-for-row what an
-                # uninterrupted run would have produced.
-                records, elapsed, events = restored[idx]
-                results[idx] = ScenarioResult(scenario, records,
+            fingerprint = scenario.fingerprint() if self.cache else None
+            hit = self.cache.get(fingerprint) if self.cache else None
+            if hit is not None:
+                # The producing run's records, wall time and event
+                # count: a resumed sweep's rows equal an uninterrupted
+                # run's.
+                records, elapsed, events = hit
+                results[idx] = ScenarioResult(scenario, records, cached=True,
                                               elapsed=elapsed, events=events)
-                continue
-            fingerprint = fingerprints[idx]
-            if fingerprint is None and self.cache:
-                fingerprint = scenario.fingerprint()
-            cached = self.cache.get(fingerprint) if self.cache else None
-            if cached is not None:
-                results[idx] = ScenarioResult(scenario, cached, cached=True)
             else:
                 pending.append((idx, scenario, fingerprint))
 
@@ -649,8 +634,8 @@ class ParallelRunner:
                 if error is not None:
                     failures.append((position, scenario.name, error))
                     if self.early_abort:
-                        # Raising inside the pool's with-block terminates
-                        # it, cancelling every shard not yet started.
+                        # Raising out of the pool loop closes the pool,
+                        # cancelling every shard not yet started.
                         raise ScenarioError(scenario.name, error)
                     if (self.max_failures is not None
                             and len(failures) > self.max_failures):
@@ -664,10 +649,8 @@ class ParallelRunner:
                 results[idx] = ScenarioResult(scenario, records,
                                               elapsed=elapsed, events=events)
                 if self.cache:
-                    self.cache.put(fingerprint, scenario.name, records)
-                if checkpoint is not None:
-                    checkpoint.record(idx, fingerprint, records,
-                                      elapsed, events)
+                    self.cache.put(fingerprint, scenario.name, records,
+                                   elapsed, events)
 
             batch_size = self._pick_batch_size(len(pending))
             batches = [list(range(start, min(start + batch_size,
@@ -682,10 +665,7 @@ class ParallelRunner:
                     {flow.agent for s in _FORK_SCENARIOS for flow in s.flows
                      if isinstance(flow.agent, AgentRef)}, key=AgentRef.key))
                 try:
-                    if self.retry is not None or self.cell_timeout is not None:
-                        self._run_resilient(batches, record_result)
-                    else:
-                        self._run_pool(batches, record_result)
+                    self._run_resilient(batches, record_result)
                 finally:
                     _FORK_BATCHES = []
                     _FORK_SCENARIOS = []
@@ -715,26 +695,15 @@ class ParallelRunner:
         ordered = [results[idx] for idx in range(len(scenarios))]
         return SuiteResult(results=ordered, elapsed=time.perf_counter() - t0)
 
-    def _run_pool(self, batches: list[list[int]], record_result) -> None:
-        """Classic dispatch: ``multiprocessing.Pool`` over batches."""
-        ctx = mp.get_context("fork")
-        with ctx.Pool(processes=min(self.n_workers, len(batches)),
-                      initializer=_init_batch_worker) as pool:
-            # Unordered so completed batches cache (and abort checks
-            # run) as they land, not in shard order.
-            for batch_results in pool.imap_unordered(
-                    _execute_batch, range(len(batches)), chunksize=1):
-                for position, payload, error in batch_results:
-                    record_result(position, payload, error)
-
     def _run_resilient(self, batches: list[list[int]],
                        record_result) -> None:
-        """Crash/timeout-tolerant dispatch via ResilientPool.
+        """Multi-worker dispatch via ResilientPool.
 
         The batch deadline scales with its size (``cell_timeout`` is
-        per cell).  A batch whose retry budget is exhausted -- or that
-        dies on a deterministic worker fault with retries disabled --
-        reports every one of its cells as failed.
+        per cell).  A batch whose retry budget is exhausted -- a dead
+        worker with the default single attempt, say -- reports every
+        one of its cells as failed.  The pool is closed explicitly, so
+        an abort raised by ``record_result`` stops the workers at once.
         """
         pool = ResilientPool(min(self.n_workers, len(batches)),
                              _execute_batch,
@@ -745,11 +714,12 @@ class ParallelRunner:
             timeout = (None if self.cell_timeout is None
                        else self.cell_timeout * len(batch))
             tasks.append((index, index, timeout))
-        for index, batch_results, error in pool.execute(tasks):
-            if batch_results is None:
-                for position in batches[index]:
-                    record_result(position, None,
-                                  error or "batch produced no result")
-            else:
-                for position, payload, cell_error in batch_results:
-                    record_result(position, payload, cell_error)
+        with contextlib.closing(pool.execute(tasks)) as outcomes:
+            for index, batch_results, error in outcomes:
+                if batch_results is None:
+                    for position in batches[index]:
+                        record_result(position, None,
+                                      error or "batch produced no result")
+                else:
+                    for position, payload, cell_error in batch_results:
+                        record_result(position, payload, cell_error)

@@ -1,4 +1,4 @@
-"""Resilient sweep runtime: crash recovery, timeouts, checkpoint/resume.
+"""Resilient sweep runtime: crash recovery, timeouts, cache-backed resume.
 
 Production-scale sweeps die for reasons that have nothing to do with
 the cells themselves: a worker process OOM-killed mid-batch, one cell
@@ -12,16 +12,17 @@ survive all four without compromising the determinism contract:
   Deterministic cell failures -- an exception raised by the task
   function itself -- are never retried: a seeded simulation that
   failed once fails identically every time.
-* :class:`ResilientPool` -- a fork-based process pool that knows which
-  worker holds which task (one duplex pipe per worker), so a crashed
-  or deadline-blown worker is terminated, respawned, and its task
-  either requeued (within the retry budget) or reported as a failed
-  result instead of wedging the sweep.
-* :class:`SweepCheckpoint` -- an append-only JSONL journal of
-  completed cells, each line fingerprint-keyed and content-checksummed
-  so an interrupted grid resumes from exactly the cells it finished --
-  with the original records, wall time, and event counts, hence
-  row-for-row identical digests to an uninterrupted run.
+* :class:`ResilientPool` -- the one multi-worker pool: a fork-based
+  process pool that knows which worker holds which task (one duplex
+  pipe per worker), so a crashed or deadline-blown worker is
+  terminated, respawned, and its task either requeued (within the
+  retry budget) or reported as a failed result instead of wedging the
+  sweep.  Without a policy every task gets one attempt.
+* Record (de)serialization and :func:`records_digest`, shared by the
+  result cache -- which is also the resume store: its checksummed
+  entries carry each cell's records, wall time, and event count, so
+  re-running an interrupted grid against the same cache directory
+  restores the finished cells row-for-row.
 * :func:`set_chaos_hook` -- the deterministic fault-injection point
   the chaos tests and the CI chaos smoke job use to kill a worker at a
   chosen cell (fork inheritance carries the hook into workers).
@@ -45,17 +46,15 @@ import time
 from collections import deque
 from dataclasses import dataclass
 from multiprocessing.connection import wait as _connection_wait
-from pathlib import Path
 
 import numpy as np
 
-from repro.eval.scenarios import SCENARIO_CACHE_VERSION
 from repro.netsim.network import FlowRecord
 from repro.netsim.sender import MonitorIntervalStats
 
 __all__ = ["IDEMPOTENT_TASKS", "ResilientPool", "RetryPolicy",
-           "SweepCheckpoint", "record_from_json", "record_to_json",
-           "records_digest", "set_chaos_hook"]
+           "record_from_json", "record_to_json", "records_digest",
+           "set_chaos_hook"]
 
 #: Justified idempotent-task allowlist: the only functions a
 #: :class:`ResilientPool` may be constructed around (and therefore
@@ -71,14 +70,19 @@ IDEMPOTENT_TASKS: tuple[tuple[str, str], ...] = (
      "records (the golden-trace gate pins this), and results land in "
      "a fingerprint-keyed store, so a duplicate completion is a "
      "harmless overwrite"),
+    ("repro.rl.parallel._worker_collect",
+     "a rollout is a pure function of its job tuple (env spec, model "
+     "weights, objective, step count, seed): a re-run after a crash "
+     "collects the same buffers, and the collector keeps one result "
+     "per job id"),
 )
 
 # --- record (de)serialization ------------------------------------------------
-# Shared by the result cache, the checkpoint journal, and the digest
-# helpers; lives here (not in repro.eval.parallel) so parallel can
-# import the resilience layer without a cycle.
+# Shared by the result cache and the digest helpers; lives here (not in
+# repro.eval.parallel) so parallel can import the resilience layer
+# without a cycle.
 
-#: Per-monitor-interval fields persisted in caches and checkpoints.
+#: Per-monitor-interval fields persisted in cache entries.
 MI_FIELDS = ("flow_id", "start", "end", "sent", "acked", "lost", "mean_rtt",
              "min_rtt", "latency_gradient", "capacity_pps", "base_rtt",
              "packet_bytes", "rate_pps")
@@ -225,15 +229,16 @@ class _PoolWorker:
 class ResilientPool:
     """A crash- and timeout-surviving process pool for idempotent tasks.
 
-    Unlike ``multiprocessing.Pool`` -- which wedges or collapses when a
-    worker dies mid-task -- this pool assigns exactly one task per
-    worker over a dedicated duplex pipe, so it always knows *which*
-    task a dead or deadline-blown worker was holding.  That worker is
-    terminated and respawned, and the task is requeued under
-    ``retry`` (transient failures only: an exception *returned* by the
-    task function is deterministic and reported immediately, never
-    retried).  Tasks whose retry budget is exhausted come back as
-    error results; the pool itself never raises for a task.
+    Unlike ``multiprocessing.Pool`` -- whose ``imap_unordered`` never
+    returns once a worker dies mid-task -- this pool assigns exactly
+    one task per worker over a dedicated duplex pipe, so it always
+    knows *which* task a dead or deadline-blown worker was holding.
+    That worker is terminated and respawned, and the task is requeued
+    under ``retry`` (transient failures only: an exception *returned*
+    by the task function is deterministic and reported immediately,
+    never retried).  ``retry=None`` means one attempt.  Tasks whose
+    retry budget is exhausted come back as error results; the pool
+    itself never raises for a task.
 
     ``fn`` must be a module-level function named in
     :data:`IDEMPOTENT_TASKS` -- re-running it must be observationally
@@ -241,7 +246,8 @@ class ResilientPool:
     """
 
     #: Parent poll granularity, seconds: the latency ceiling on
-    #: noticing a result, a crash, or an expired deadline.
+    #: noticing a crash or an expired deadline (results wake the
+    #: parent at once).
     POLL_SECONDS = 0.05
 
     def __init__(self, n_workers: int, fn, initializer=None,
@@ -251,7 +257,8 @@ class ResilientPool:
         self.n_workers = int(n_workers)
         self.fn = fn
         self.initializer = initializer
-        self.retry = retry if retry is not None else RetryPolicy()
+        self.retry = (retry if retry is not None
+                      else RetryPolicy(max_attempts=1))
         # Backoff jitter: scheduling noise only, never simulation
         # state; seeded so retry timing is reproducible.
         self._rng = np.random.default_rng(self.retry.seed)
@@ -289,8 +296,9 @@ class ResilientPool:
 
         ``tasks`` is an iterable of ``(task_id, arg, timeout_s)``
         (``timeout_s=None`` = no deadline).  The generator owns the
-        worker processes: closing it early (or an exception in the
-        consuming loop) terminates them.
+        worker processes: closing it early terminates in-flight workers
+        at once (their tasks are idempotent, their results unwanted)
+        and stops the idle ones.
         """
         ctx = mp.get_context("fork")
         queue: deque[_PoolTask] = deque(
@@ -299,14 +307,36 @@ class ResilientPool:
         if not queue:
             return
         delayed: list = []  # (ready_at, task) backing off before requeue
-        workers = [self._spawn(ctx)
-                   for _ in range(min(self.n_workers, len(queue)))]
-        idle = list(workers)
+        workers: list[_PoolWorker] = []  # every live worker, respawns too
+        idle: list[_PoolWorker] = []
         inflight: dict = {}  # conn -> (worker, task, deadline | None)
+
+        def assign(worker: _PoolWorker) -> None:
+            """Hand ``worker`` the next queued task, or park it idle."""
+            if not queue:
+                idle.append(worker)
+                return
+            task = queue.popleft()
+            worker.conn.send((task.task_id, task.arg))
+            deadline = (None if task.timeout is None
+                        else time.perf_counter() + task.timeout)
+            inflight[worker.conn] = (worker, task, deadline)
+
+        def replace(worker: _PoolWorker) -> _PoolWorker:
+            """Reap a dead or deadline-blown worker; start its successor."""
+            workers.remove(worker)
+            self._kill(worker)
+            fresh = self._spawn(ctx)
+            workers.append(fresh)
+            return fresh
+
         try:
+            for _ in range(min(self.n_workers, len(queue))):
+                workers.append(self._spawn(ctx))
+                assign(workers[-1])
             while queue or delayed or inflight:
-                now = time.perf_counter()
                 if delayed:
+                    now = time.perf_counter()
                     waiting = []
                     for ready_at, task in delayed:
                         if ready_at <= now:
@@ -315,12 +345,7 @@ class ResilientPool:
                             waiting.append((ready_at, task))
                     delayed = waiting
                 while idle and queue:
-                    worker = idle.pop()
-                    task = queue.popleft()
-                    worker.conn.send((task.task_id, task.arg))
-                    deadline = (None if task.timeout is None
-                                else now + task.timeout)
-                    inflight[worker.conn] = (worker, task, deadline)
+                    assign(idle.pop())
                 if not inflight:
                     # Everything is backing off; sleep to the earliest
                     # requeue (bounded by the poll granularity).
@@ -333,25 +358,25 @@ class ResilientPool:
                     continue
                 for conn in _connection_wait(list(inflight),
                                              timeout=self.POLL_SECONDS):
-                    worker, task, _deadline = inflight[conn]
+                    worker, task, _deadline = inflight.pop(conn)
                     try:
-                        task_id, result, error = conn.recv()
+                        message = conn.recv()
                     except (EOFError, OSError):
                         # Worker died mid-task (chaos kill, OOM,
                         # segfault): respawn and requeue within budget.
-                        del inflight[conn]
-                        self._kill(worker)
-                        idle.append(self._spawn(ctx))
                         verdict = self._next_move(
                             task, "WorkerCrash: worker process died "
                                   f"while running task {task.task_id!r}",
                             delayed)
+                        assign(replace(worker))
                         if verdict is not None:
                             yield verdict
                     else:
-                        del inflight[conn]
-                        idle.append(worker)
-                        yield (task_id, result, error)
+                        # Keep the worker fed: it gets its next task
+                        # before the consumer spends time on this
+                        # result (e.g. writing a cache entry).
+                        assign(worker)
+                        yield message
                 now = time.perf_counter()
                 for conn in list(inflight):
                     worker, task, deadline = inflight[conn]
@@ -359,8 +384,6 @@ class ResilientPool:
                     if worker.proc.is_alive() and not expired:
                         continue
                     del inflight[conn]
-                    self._kill(worker)
-                    idle.append(self._spawn(ctx))
                     if expired:
                         reason = (f"CellTimeout: task {task.task_id!r} "
                                   f"exceeded {task.timeout:.3f}s")
@@ -368,14 +391,18 @@ class ResilientPool:
                         reason = ("WorkerCrash: worker process died "
                                   f"while running task {task.task_id!r}")
                     verdict = self._next_move(task, reason, delayed)
+                    assign(replace(worker))
                     if verdict is not None:
                         yield verdict
         finally:
-            for worker in idle:
-                try:
-                    worker.conn.send(None)
-                except (OSError, BrokenPipeError):
-                    pass
+            for worker in workers:
+                if worker.conn in inflight:
+                    worker.proc.terminate()
+                else:
+                    try:
+                        worker.conn.send(None)
+                    except OSError:
+                        pass
             for worker in workers:
                 worker.proc.join(timeout=1.0)
                 if worker.proc.is_alive():
@@ -385,118 +412,3 @@ class ResilientPool:
                     worker.conn.close()
                 except OSError:
                     pass
-
-
-# --- sweep checkpoint ---------------------------------------------------------
-
-
-def _line_sha(payload: dict) -> str:
-    return hashlib.sha256(
-        json.dumps(payload, sort_keys=True).encode("utf-8")).hexdigest()[:16]
-
-
-def _suite_sha(fingerprints: list[str]) -> str:
-    return hashlib.sha256(
-        json.dumps(list(fingerprints)).encode("utf-8")).hexdigest()[:16]
-
-
-class SweepCheckpoint:
-    """Append-only JSONL journal of a sweep's completed cells.
-
-    Line 0 is a manifest binding the journal to one suite (the ordered
-    cell fingerprints) and one cache version; every following line is
-    a completed cell -- index, fingerprint, records, wall time, event
-    count -- sealed by a content checksum.  :meth:`resume` validates
-    the chain and returns the completed cells; a manifest mismatch
-    (different suite, changed code) starts the journal over, and a
-    corrupt or torn tail is dropped (the journal is rewritten up to
-    the last intact line) rather than trusted.
-
-    The journal lives in the parent: workers never write it, so a
-    crashed worker can at worst lose its in-flight cells, never
-    corrupt completed ones.
-    """
-
-    def __init__(self, path: str | Path):
-        self.path = Path(path)
-        self._fh = None
-
-    def resume(self, fingerprints: list[str]) -> dict[int, tuple]:
-        """Validate the journal against ``fingerprints`` and open it.
-
-        Returns ``{cell_index: (records, elapsed, events)}`` for every
-        intact completed cell of the *same* suite; any mismatch or
-        corruption resets the journal (fresh manifest, no cells).
-        """
-        fingerprints = list(fingerprints)
-        suite = _suite_sha(fingerprints)
-        completed: dict[int, tuple] = {}
-        kept: list[str] = []
-        try:
-            lines = self.path.read_text().splitlines()
-        except OSError:
-            lines = []
-        if lines:
-            try:
-                manifest = json.loads(lines[0])
-            except ValueError:
-                manifest = None
-            if (isinstance(manifest, dict)
-                    and manifest.get("kind") == "manifest"
-                    and manifest.get("version") == SCENARIO_CACHE_VERSION
-                    and manifest.get("suite") == suite):
-                for line in lines[1:]:
-                    entry = self._parse_cell(line, fingerprints)
-                    if entry is None:
-                        break  # torn/corrupt tail: drop it and stop
-                    idx, payload = entry
-                    completed[idx] = payload
-                    kept.append(line)
-        manifest_line = json.dumps({"kind": "manifest",
-                                    "version": SCENARIO_CACHE_VERSION,
-                                    "suite": suite, "cells": len(fingerprints)},
-                                   sort_keys=True)
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = self.path.with_suffix(".tmp")
-        tmp.write_text("\n".join([manifest_line] + kept) + "\n")
-        tmp.replace(self.path)
-        self._fh = open(self.path, "a", encoding="utf-8")
-        return completed
-
-    def _parse_cell(self, line: str, fingerprints: list[str]):
-        try:
-            payload = json.loads(line)
-        except ValueError:
-            return None
-        if not isinstance(payload, dict) or payload.get("kind") != "cell":
-            return None
-        sha = payload.pop("sha", None)
-        if sha != _line_sha(payload):
-            return None
-        idx = payload.get("idx")
-        if (not isinstance(idx, int) or not 0 <= idx < len(fingerprints)
-                or payload.get("fp") != fingerprints[idx]):
-            return None
-        try:
-            records = [record_from_json(r) for r in payload["records"]]
-            return idx, (records, float(payload["elapsed"]),
-                         int(payload["events"]))
-        except (KeyError, TypeError, ValueError):
-            return None
-
-    def record(self, idx: int, fingerprint: str, records: list[FlowRecord],
-               elapsed: float, events: int) -> None:
-        """Append one completed cell (flushed so a kill loses nothing)."""
-        if self._fh is None:
-            raise RuntimeError("call resume() before record()")
-        payload = {"kind": "cell", "idx": int(idx), "fp": fingerprint,
-                   "elapsed": float(elapsed), "events": int(events),
-                   "records": [record_to_json(r) for r in records]}
-        payload["sha"] = _line_sha(payload)
-        self._fh.write(json.dumps(payload, sort_keys=True) + "\n")
-        self._fh.flush()
-
-    def close(self) -> None:
-        if self._fh is not None:
-            self._fh.close()
-            self._fh = None

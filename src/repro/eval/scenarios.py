@@ -46,12 +46,14 @@ __all__ = ["AgentRef", "ChurnSchedule", "FlowDef", "Scenario", "ScenarioSuite",
            "build_scenario_simulation", "run_scenario", "simulate_scenario"]
 
 #: Bumped whenever scenario execution changes in a way that invalidates
-#: previously cached results.  v8: the ``transit`` and ``engine`` keys
-#: left the fingerprint with the single engine (v7: cache entries
-#: gained a content checksum and the topology signature gained per-link
-#: fault schedules; v6: the ``engine=`` axis; v5: host-portable code
-#: digest; v4: event-driven per-hop forward transit).
-SCENARIO_CACHE_VERSION = "v8"
+#: previously cached results.  v9: cache entries carry the producing
+#: run's wall time and event count under the content checksum (v8: the
+#: ``transit`` and ``engine`` keys left the fingerprint with the single
+#: engine; v7: cache entries gained a content checksum and the topology
+#: signature gained per-link fault schedules; v6: the ``engine=`` axis;
+#: v5: host-portable code digest; v4: event-driven per-hop forward
+#: transit).
+SCENARIO_CACHE_VERSION = "v9"
 
 
 def _simulation_code_digest() -> str:

@@ -8,8 +8,9 @@ ways:
   lockstep and batches the policy forward passes -- this removes most
   Python-level NN overhead even on one core;
 * :class:`ProcessCollector` farms rollout collection out to OS
-  processes (the host has few cores, so the measured speedup is
-  bounded accordingly -- see EXPERIMENTS.md for Fig. 19).
+  processes through :class:`~repro.eval.resilience.ResilientPool`
+  (the host has few cores, so the measured speedup is bounded
+  accordingly -- see EXPERIMENTS.md for Fig. 19).
 
 All collectors share one call signature::
 
@@ -21,7 +22,6 @@ so the offline/online trainers can swap strategies freely.
 
 from __future__ import annotations
 
-import multiprocessing as mp
 from dataclasses import dataclass
 
 import numpy as np
@@ -177,15 +177,18 @@ def _rebuild_buffer(payload, weight_dim: int, act_dim: int) -> RolloutBuffer:
 
 
 class ProcessCollector:
-    """Collect rollouts in parallel OS processes (Fig. 19's "parallel")."""
+    """Collect rollouts in parallel OS processes (Fig. 19's "parallel").
+
+    Each ``collect`` forks its workers through the repo's one process
+    pool, :class:`~repro.eval.resilience.ResilientPool`, so a worker
+    that dies fails the call instead of hanging it.
+    """
 
     def __init__(self, spec: EnvSpec, n_workers: int = 2):
         if n_workers < 1:
             raise ValueError("need at least one worker")
         self.spec = spec
         self.n_workers = n_workers
-        ctx = mp.get_context("fork")
-        self._pool = ctx.Pool(processes=n_workers)
 
     def collect(self, model: PreferenceActorCritic, weights, steps: int,
                 rng: np.random.Generator):
@@ -196,7 +199,16 @@ class ProcessCollector:
         jobs = [(self.spec, arch, state, weights, per_worker,
                  int(rng.integers(0, 2 ** 31)), 1000 * (i + 1))
                 for i in range(self.n_workers)]
-        results = self._pool.map(_worker_collect, jobs)
+        # Imported here: repro.eval imports the training stack, which
+        # imports this module.
+        from repro.eval.resilience import ResilientPool
+        pool = ResilientPool(self.n_workers, _worker_collect)
+        outcomes = sorted(pool.execute(
+            [(i, job, None) for i, job in enumerate(jobs)]))
+        for i, _, error in outcomes:
+            if error is not None:
+                raise RuntimeError(f"rollout worker {i} failed: {error}")
+        results = [result for _, result, _ in outcomes]
         buffers = [_rebuild_buffer(p, model.weight_dim, model.act_dim)
                    for p, _, _ in results]
         bootstraps = [b for _, b, _ in results]
@@ -204,11 +216,4 @@ class ProcessCollector:
         return buffers, bootstraps, mean_reward
 
     def close(self) -> None:
-        self._pool.close()
-        self._pool.join()
-
-    def __del__(self):  # best-effort cleanup
-        try:
-            self._pool.terminate()
-        except Exception:
-            pass
+        """Nothing to release: workers live for one ``collect``."""

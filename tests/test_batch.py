@@ -16,9 +16,6 @@ Three guarantees, layered:
   cache).
 """
 
-import hashlib
-import json
-
 import numpy as np
 import pytest
 
@@ -27,7 +24,7 @@ from repro.eval.batch import (
     BatchRunner,
     warm_agent_refs,
 )
-from repro.eval.parallel import ParallelRunner, ScenarioError, _record_to_json
+from repro.eval.parallel import ParallelRunner, ScenarioError
 from repro.eval.perf import PERF_SHAPES, batched_grid_scenarios, perf_scenarios
 from repro.eval.scenarios import (
     ChurnSchedule,
@@ -36,15 +33,10 @@ from repro.eval.scenarios import (
     ScenarioSuite,
     build_scenario_simulation,
 )
+from repro.eval.resilience import records_digest
 from repro.eval.runner import EvalNetwork
 from repro.netsim.network import SimState
 from repro.netsim.topology import parking_lot
-
-
-def records_digest(records) -> str:
-    """Full-rows digest (per-MI streams included), as the goldens use."""
-    blob = json.dumps([_record_to_json(r) for r in records], sort_keys=True)
-    return hashlib.sha256(blob.encode()).hexdigest()
 
 
 def solo_digest(scenario) -> str:
@@ -241,15 +233,21 @@ class TestRunnerDispatchIdentity:
             assert row["events"] > 0
             assert row["wall_s"] > 0.0
 
-    def test_cached_rows_report_zero_events(self, tmp_path):
+    def test_cached_rows_carry_producing_run_events(self, tmp_path):
         suite = identity_suite()
         runner = ParallelRunner(n_workers=1, cache_dir=tmp_path)
         first = runner.run(suite)
         assert first.cache_misses == len(first)
         second = runner.run(suite)
         assert second.cache_hits == len(second)
-        for row in second.table:
-            assert row["events"] == 0 and row["wall_s"] == 0.0
+        # A hit restores the producing run's events and wall time...
+        assert ([(row["events"], row["wall_s"]) for row in second.table]
+                == [(row["events"], row["wall_s"]) for row in first.table])
+        assert all(row["cached"] for row in second.table)
+        # ...but engine speed counts executed cells only.
+        assert first.total_events > 0
+        assert second.total_events == 0
+        assert second.events_per_sec is None
         # Cache-served results are bit-identical to the executed ones.
         for a, b in zip(first, second):
             assert records_digest(a.records) == records_digest(b.records)

@@ -2,12 +2,15 @@
 both preference-conditioned and unconditioned models (incl. the
 ``weights=None`` path and the no-finished-episode reward fallback)."""
 
+import os
+
 import numpy as np
 import pytest
 
 from repro.config import DEFAULT_TRAINING, NetworkParams
 from repro.core.agent import MoccAgent
 from repro.rl.collect import BALANCED_OBJECTIVE, evaluate_policy, resolve_objective
+from repro.eval.resilience import set_chaos_hook
 from repro.rl.parallel import EnvSpec, ProcessCollector, SerialCollector, VectorCollector
 
 SPEC = EnvSpec(params=NetworkParams(3.0, 20.0, 200, 0.0), max_steps=16, seed=2)
@@ -120,3 +123,20 @@ class TestVectorRewardFallback:
                     total = 0.0
         assert finished
         assert reward == pytest.approx(float(np.mean(finished)))
+
+
+def _kill_second_rollout(job):
+    """Chaos hook: hard-kill the worker collecting rollout 1."""
+    if job[-1] == 2000:  # seed offset of rollout 1
+        os._exit(17)
+
+
+class TestProcessCollectorWorkerDeath:
+    def test_dead_worker_raises_instead_of_hanging(self):
+        set_chaos_hook(_kill_second_rollout)
+        try:
+            with pytest.raises(RuntimeError, match="WorkerCrash"):
+                ProcessCollector(SPEC, n_workers=2).collect(
+                    _conditioned(), WEIGHTS, 32, np.random.default_rng(0))
+        finally:
+            set_chaos_hook(None)

@@ -17,12 +17,10 @@ Four layers of guarantees:
   serial, process-pool, and batched dispatch.
 """
 
-import hashlib
-import json
-
 import pytest
 
-from repro.eval.parallel import ParallelRunner, _record_to_json
+from repro.eval.parallel import ParallelRunner
+from repro.eval.resilience import records_digest
 from repro.eval.scenarios import (
     ScenarioSuite,
     _topology_signature,
@@ -38,11 +36,6 @@ from repro.netsim.faults import (
     fault_signature,
 )
 from repro.netsim.topology import dumbbell, parking_lot
-
-
-def records_digest(records) -> str:
-    blob = json.dumps([_record_to_json(r) for r in records], sort_keys=True)
-    return hashlib.sha256(blob.encode()).hexdigest()
 
 
 def suite_digests(suite, **runner_kwargs) -> dict:

@@ -28,7 +28,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.eval.parallel import ParallelRunner, _record_to_json
+from repro.eval.parallel import ParallelRunner
+from repro.eval.resilience import record_to_json
 from repro.eval.scenarios import ChurnSchedule, FlowDef, ScenarioSuite
 from repro.netsim.topology import dumbbell_asymmetric, parking_lot
 
@@ -75,7 +76,7 @@ def compute_goldens() -> dict:
     scenarios = {}
     for suite in golden_suites():
         for result in runner.run(suite):
-            rows = [_record_to_json(r) for r in result.records]
+            rows = [record_to_json(r) for r in result.records]
             blob = json.dumps(rows, sort_keys=True)
             scenarios[result.scenario.name] = {
                 "digest": hashlib.sha256(blob.encode()).hexdigest(),

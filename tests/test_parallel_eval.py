@@ -10,7 +10,14 @@ from repro.eval.parallel import (
     ResultTable,
     ScenarioError,
 )
-from repro.eval.scenarios import ChurnSchedule, FlowDef, Scenario, ScenarioSuite
+from repro.eval.resilience import records_digest
+from repro.eval.scenarios import (
+    ChurnSchedule,
+    FlowDef,
+    Scenario,
+    ScenarioSuite,
+    simulate_scenario,
+)
 from repro.eval.runner import EvalNetwork
 from repro.netsim.topology import dumbbell_asymmetric, parking_lot
 
@@ -97,6 +104,16 @@ class TestParallelRunner:
         assert cache.clear() == 2
         assert cache.clear() == 0
 
+    def test_cache_round_trips_wall_time_and_events(self, tmp_path):
+        scenario = Scenario(name="rt", network=EvalNetwork(),
+                            flows=("cubic",), duration=0.5)
+        records, _ = simulate_scenario(scenario)
+        cache = ResultCache(tmp_path)
+        cache.put(scenario.fingerprint(), scenario.name, records, 1.25, 777)
+        stored, elapsed, events = cache.get(scenario.fingerprint())
+        assert (elapsed, events) == (1.25, 777)
+        assert records_digest(stored) == records_digest(records)
+
 
 class TestCacheEviction:
     def _fill(self, cache, n):
@@ -104,7 +121,7 @@ class TestCacheEviction:
             name="ev", lineups=("cubic",), duration=0.5,
             seeds=tuple(range(n))).expand()
         for i, s in enumerate(scenarios):
-            cache.put(s.fingerprint(), s.name, [])
+            cache.put(s.fingerprint(), s.name, [], 0.0, 0)
         return [s.fingerprint() for s in scenarios]
 
     def test_put_evicts_oldest_beyond_cap(self, tmp_path):
@@ -116,7 +133,7 @@ class TestCacheEviction:
             os.utime(cache._path(fp), (1000.0 + i, 1000.0 + i))
         size = cache._path(prints[0]).stat().st_size
         cache.max_bytes = 3 * size + size // 2
-        cache.put("f" * 64, "extra", [])
+        cache.put("f" * 64, "extra", [], 0.0, 0)
         survivors = {p.stem for p in tmp_path.glob("*.json")}
         # The oldest-touched entries were evicted first.
         assert prints[0] not in survivors and prints[1] not in survivors

@@ -1,21 +1,22 @@
-"""Resilient sweep runtime: retries, crash recovery, checkpoints.
+"""Resilient sweep runtime: retries, crash recovery, cache-backed resume.
 
-Four layers, mirroring ``repro.eval.resilience``:
+Three layers, mirroring ``repro.eval.resilience``:
 
 * **RetryPolicy** -- validation, deterministic seeded backoff.
 * **ResilientPool** -- crash/timeout recovery with the chaos hook:
   deterministic task exceptions are never retried, crashed workers
   are respawned and the task requeued within budget, exhausted
-  budgets come back as error results.
-* **SweepCheckpoint** -- journal round trips, manifest binding, and
-  corruption handling (torn tails and tampered lines are dropped).
-* **ParallelRunner integration** -- failure budgets become error
-  rows, corrupt cache entries are quarantined and recomputed, and a
+  budgets come back as error results, and closing the pool early
+  stops every worker at once.
+* **ParallelRunner integration** -- a dead worker fails its cells
+  instead of hanging the sweep, failure budgets become error rows,
+  corrupt cache entries are quarantined and recomputed, and a
   killed-then-resumed sweep is row-for-row identical to an
   uninterrupted run.
 """
 
 import json
+import multiprocessing as mp
 import os
 import time
 from pathlib import Path
@@ -26,13 +27,8 @@ import pytest
 from repro.eval.parallel import ParallelRunner, ScenarioError
 from repro.eval.resilience import (
     IDEMPOTENT_TASKS,
-    MI_FIELDS,
-    RECORD_FIELDS,
     ResilientPool,
     RetryPolicy,
-    SweepCheckpoint,
-    record_from_json,
-    record_to_json,
     records_digest,
     set_chaos_hook,
 )
@@ -42,7 +38,7 @@ from repro.eval.scenarios import Scenario, ScenarioSuite
 NET = EvalNetwork(bandwidth_mbps=8.0, one_way_ms=10.0, buffer_bdp=1.0)
 
 #: Four cells: small enough for CI, wide enough that a killed batch
-#: leaves journaled survivors to resume from.
+#: leaves cached survivors to resume from.
 SMALL = ScenarioSuite(name="resume", lineups=("cubic", "vegas"),
                       seeds=(0, 1), duration=1.0)
 
@@ -72,6 +68,12 @@ def _log_and_fail(arg):
 
 def _sleep_forever(arg):
     time.sleep(60.0)
+    return arg
+
+
+def _echo_or_sleep(arg):
+    if arg == "sleep":
+        time.sleep(60.0)
     return arg
 
 
@@ -212,82 +214,35 @@ class TestResilientPool:
         assert "CellTimeout" in error and "0.300s" in error
         assert time.perf_counter() - t0 < 10.0  # killed, not waited out
 
+    def test_worker_gets_next_task_before_result_is_yielded(self, tmp_path):
+        log = tmp_path / "log"
+        pool = ResilientPool(1, _log_and_double)
+        outcomes = pool.execute([(i, (i, str(log)), None) for i in range(2)])
+        assert next(outcomes) == (0, 0, None)
+        # The consumer still holds result 0, yet the lone worker is
+        # already running task 1: it never idles on the parent.
+        deadline = time.perf_counter() + 10.0
+        while log.read_text().split() != ["0", "1"]:
+            assert time.perf_counter() < deadline, "worker was not fed"
+            time.sleep(0.01)
+        assert list(outcomes) == [(1, 2, None)]
 
-def _fake_record(k: int):
-    payload = {name: float(k) for name in RECORD_FIELDS}
-    payload["flow_id"] = k
-    payload["scheme"] = f"scheme{k}"
-    payload["records"] = [[float(k + j)] * len(MI_FIELDS) for j in range(2)]
-    return record_from_json(payload)
-
-
-class TestSweepCheckpoint:
-    FPS = ["fp0", "fp1", "fp2"]
-
-    def test_record_requires_resume(self, tmp_path):
-        ck = SweepCheckpoint(tmp_path / "j.jsonl")
-        with pytest.raises(RuntimeError, match="resume"):
-            ck.record(0, "fp0", [], 0.1, 1)
-
-    def test_round_trip(self, tmp_path):
-        path = tmp_path / "j.jsonl"
-        ck = SweepCheckpoint(path)
-        assert ck.resume(self.FPS) == {}
-        ck.record(1, "fp1", [_fake_record(4)], 1.25, 777)
-        ck.close()
-        restored = SweepCheckpoint(path).resume(self.FPS)
-        assert set(restored) == {1}
-        records, elapsed, events = restored[1]
-        assert (elapsed, events) == (1.25, 777)
-        assert [record_to_json(r) for r in records] == [
-            record_to_json(_fake_record(4))]
-
-    def test_manifest_mismatch_resets_the_journal(self, tmp_path):
-        path = tmp_path / "j.jsonl"
-        ck = SweepCheckpoint(path)
-        ck.resume(self.FPS)
-        ck.record(0, "fp0", [_fake_record(0)], 0.5, 10)
-        ck.close()
-        # A different suite: the old cells must not leak into it...
-        assert SweepCheckpoint(path).resume(["other0", "other1"]) == {}
-        # ...and the reset is destructive: the original suite now
-        # starts over too (the journal was rebound).
-        assert SweepCheckpoint(path).resume(self.FPS) == {}
-
-    def test_torn_tail_is_dropped_and_rewritten(self, tmp_path):
-        path = tmp_path / "j.jsonl"
-        ck = SweepCheckpoint(path)
-        ck.resume(self.FPS)
-        ck.record(0, "fp0", [_fake_record(0)], 0.5, 10)
-        ck.record(1, "fp1", [_fake_record(1)], 0.6, 20)
-        ck.close()
-        with open(path, "a") as fh:
-            fh.write('{"kind": "cell", "idx": 2, "records"')  # torn write
-        restored = SweepCheckpoint(path).resume(self.FPS)
-        assert set(restored) == {0, 1}
-        assert '"records"\n' not in path.read_text()  # tail rewritten away
-
-    def test_tampered_line_invalidates_itself_and_the_tail(self, tmp_path):
-        path = tmp_path / "j.jsonl"
-        ck = SweepCheckpoint(path)
-        ck.resume(self.FPS)
-        ck.record(0, "fp0", [_fake_record(0)], 0.5, 10)
-        ck.record(1, "fp1", [_fake_record(1)], 0.6, 20)
-        ck.close()
-        lines = path.read_text().splitlines()
-        lines[1] = lines[1].replace('"elapsed": 0.5', '"elapsed": 9.9')
-        path.write_text("\n".join(lines) + "\n")
-        # Checksum catches the edit; everything after the first bad
-        # line is untrusted too (append-only chain semantics).
-        assert SweepCheckpoint(path).resume(self.FPS) == {}
-
-    def test_wrong_fingerprint_is_rejected(self, tmp_path):
-        path = tmp_path / "j.jsonl"
-        ck = SweepCheckpoint(path)
-        ck.resume(self.FPS)
-        ck.record(0, "not-fp0", [_fake_record(0)], 0.5, 10)
-        ck.close()
-        assert SweepCheckpoint(path).resume(self.FPS) == {}
+    def test_close_stops_busy_and_respawned_workers_at_once(self):
+        before = set(mp.active_children())
+        set_chaos_hook(_always_kill("die"))
+        pool = ResilientPool(2, _echo_or_sleep)
+        outcomes = pool.execute([(0, "die", None), (1, "sleep", None),
+                                 (2, "sleep", None)])
+        # Default policy: one attempt, so the crash is reported at once.
+        # By now the first worker holds task 1 and the respawned one
+        # task 2, both sleeping.
+        task_id, result, error = next(outcomes)
+        assert (task_id, result) == (0, None)
+        assert error.count("WorkerCrash") == 1
+        t0 = time.perf_counter()
+        outcomes.close()
+        assert time.perf_counter() - t0 < 0.5
+        assert [p for p in mp.active_children() if p not in before] == []
 
 
 class TestCacheIntegrity:
@@ -316,6 +271,20 @@ class TestCacheIntegrity:
         path = runner.cache._path(scenario.fingerprint())
         path.write_text("[1, 2, 3]")
         assert runner.run([scenario]).cache_misses == 1
+        assert path.with_suffix(".quarantined").exists()
+
+    @pytest.mark.parametrize("key, forged", [("elapsed", 9.9),
+                                             ("events", 12345)])
+    def test_tampered_timing_is_quarantined(self, tmp_path, key, forged):
+        runner = ParallelRunner(n_workers=1, cache_dir=tmp_path)
+        scenario = self._scenario()
+        runner.run([scenario])
+        path = runner.cache._path(scenario.fingerprint())
+        payload = json.loads(path.read_text())
+        payload[key] = forged  # the checksum covers wall time and events
+        path.write_text(json.dumps(payload))
+        outcome = runner.run([scenario])
+        assert outcome.cache_misses == 1
         assert path.with_suffix(".quarantined").exists()
 
     def test_clear_removes_quarantined_entries(self, tmp_path):
@@ -367,53 +336,68 @@ class TestFailureBudget:
 
 
 class TestResilientDispatchIdentity:
-    def test_retry_and_timeout_dispatch_matches_classic(self):
+    def test_retry_and_timeout_dispatch_matches_default(self):
         def digests(**kwargs):
             outcome = ParallelRunner(use_cache=False, **kwargs).run(SMALL)
             return [(records_digest(r.records), r.events) for r in outcome]
 
-        classic = digests(n_workers=2, batch_size=1)
+        default = digests(n_workers=2, batch_size=1)
         resilient = digests(n_workers=2, batch_size=1,
                             retry=RetryPolicy(max_attempts=2),
                             cell_timeout=120.0)
         serial = digests(n_workers=1)
-        assert classic == resilient == serial
+        assert default == resilient == serial
+
+    def test_killed_worker_raises_instead_of_hanging(self):
+        # Default settings: no retry, no deadline.  A dead worker must
+        # fail its cell, never wedge the sweep.
+        set_chaos_hook(_always_kill(1))
+        runner = ParallelRunner(n_workers=2, use_cache=False, batch_size=1)
+        with pytest.raises(ScenarioError) as err:
+            runner.run(SMALL)
+        assert err.value.scenario_name == SMALL.expand()[1].name
+        assert "WorkerCrash" in str(err.value)
 
 
 class TestCheckpointResume:
+    """Resume is a property of the result cache: a finished cell's
+    entry keeps its records, wall time and event count."""
+
     def test_env_var_supplies_default_path(self, tmp_path, monkeypatch):
-        journal = tmp_path / "env.jsonl"
-        monkeypatch.setenv("REPRO_SWEEP_CHECKPOINT", str(journal))
-        runner = ParallelRunner(n_workers=1, use_cache=False)
-        assert runner.checkpoint_path == journal
-        runner.run([Scenario(name="env", network=NET, flows=("cubic",),
-                             duration=1.0)])
-        assert journal.exists()
+        store = tmp_path / "env-cache"
+        monkeypatch.setenv("REPRO_RESULT_CACHE", str(store))
+        scenario = Scenario(name="env", network=NET, flows=("cubic",),
+                            duration=1.0)
+        runner = ParallelRunner(n_workers=1)
+        assert runner.cache.cache_dir == store
+        first = runner.run([scenario])
+        assert (store / f"{scenario.fingerprint()}.json").exists()
+        again = ParallelRunner(n_workers=1).run([scenario])
+        assert again.results[0].cached
+        assert again.results[0].elapsed == first.results[0].elapsed
 
     def test_completed_run_restores_rows_bit_identically(self, tmp_path):
-        journal = tmp_path / "ck.jsonl"
-        kwargs = dict(n_workers=2, use_cache=False, checkpoint=journal,
-                      batch_size=1)
+        kwargs = dict(n_workers=2, cache_dir=tmp_path, batch_size=1)
         first = ParallelRunner(**kwargs).run(SMALL)
         second = ParallelRunner(**kwargs).run(SMALL)
         assert [records_digest(r.records) for r in second] == \
             [records_digest(r.records) for r in first]
-        # Restored, not re-executed: the journal hands back the
-        # original wall times and event counts (a re-run could never
-        # reproduce elapsed bit-for-bit), and no cell is "cached".
+        # Restored, not re-executed: the cache hands back the original
+        # wall times and event counts (a re-run could never reproduce
+        # elapsed bit-for-bit).
         assert [r.elapsed for r in second] == [r.elapsed for r in first]
         assert [r.events for r in second] == [r.events for r in first]
-        assert all(not r.cached for r in second)
+        assert all(r.cached for r in second)
+        assert not any(r.cached for r in first)
 
     def test_killed_then_resumed_matches_uninterrupted(self, tmp_path):
         reference = ParallelRunner(n_workers=1, use_cache=False).run(SMALL)
         ref_digests = [records_digest(r.records) for r in reference]
+        ref_events = [r.events for r in reference]
 
-        journal = tmp_path / "sweep.jsonl"
         marker = tmp_path / "killed"
-        kwargs = dict(n_workers=2, use_cache=False, batch_size=1,
-                      checkpoint=journal, retry=RetryPolicy(max_attempts=1),
-                      max_failures=4)
+        kwargs = dict(n_workers=2, cache_dir=tmp_path / "cache",
+                      batch_size=1, max_failures=4)
         set_chaos_hook(_kill_batch_once(marker, 2))
         try:
             first = ParallelRunner(**kwargs).run(SMALL)
@@ -423,19 +407,21 @@ class TestCheckpointResume:
         killed = [r for r in first if r.error is not None]
         assert len(killed) == 1 and "WorkerCrash" in killed[0].error
 
-        # Resume: the journaled survivors are restored verbatim, only
-        # the killed cell re-executes, and the table is row-for-row
-        # what the uninterrupted run produced.
+        # Resume: the cached survivors are restored verbatim, only the
+        # killed cell re-executes, and the table is row-for-row what
+        # the uninterrupted run produced.
         second = ParallelRunner(**kwargs).run(SMALL)
         assert all(r.error is None for r in second)
         assert [records_digest(r.records) for r in second] == ref_digests
-        survivors = [i for i, r in enumerate(first.results)
-                     if r.error is None]
-        for idx in survivors:
-            assert second.results[idx].elapsed == first.results[idx].elapsed
-            assert second.results[idx].events == first.results[idx].events
+        assert [r.events for r in second] == ref_events
+        for before, after in zip(first.results, second.results):
+            assert after.cached == (before.error is None)
+            if before.error is None:
+                assert after.elapsed == before.elapsed
+                assert after.events == before.events
 
-        # Third run: everything is journaled now, nothing re-executes.
+        # Third run: everything is cached now, nothing re-executes.
         third = ParallelRunner(**kwargs).run(SMALL)
+        assert all(r.cached for r in third)
         assert [r.elapsed for r in third] == [r.elapsed for r in second]
         assert [records_digest(r.records) for r in third] == ref_digests
