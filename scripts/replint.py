@@ -1,9 +1,10 @@
 #!/usr/bin/env python
 """Convenience entry point for replint (works without installing repro).
 
-Same CLI as ``python -m repro.analysis``; typical pre-commit use::
+Same CLI as ``python -m repro.analysis``; the pre-commit hook runs
+the full scan::
 
-    python scripts/replint.py --changed-only
+    python scripts/replint.py
 """
 import sys
 from pathlib import Path

@@ -1,4 +1,4 @@
-"""The replint framework: findings, rules, suppressions, baseline, driver.
+"""The replint framework: findings, rules, suppressions, driver.
 
 Two rule shapes cover everything the analyzer checks:
 
@@ -6,32 +6,31 @@ Two rule shapes cover everything the analyzer checks:
   source for suppression comments).  These are pure syntax: no imports
   of the analyzed code, so they run on any file, including the
   known-bad fixtures under ``tests/fixtures/replint/``.
-* :class:`ProjectRule` -- a whole-project check that may *introspect*
-  live objects (dataclass fields, ``__slots__``, handler tables).
-  Each declares ``anchors`` -- the source files whose change makes it
-  worth re-running -- so ``--changed-only`` stays fast without
-  silently skipping cross-file invariants.
+* :class:`ProjectRule` -- a whole-project check over the
+  :class:`~repro.analysis.project.ProjectIndex` of the tree (one also
+  *introspects* live dataclass fields).  Project rules run only on a
+  whole-tree scan: their findings can move without the flagged file
+  changing, so a partial file list cannot vouch for them.
 
 Findings are suppressed inline with ``# replint: disable=RULE`` on the
 flagged line (``disable=all`` silences every rule there;
-``disable-file=RULE`` anywhere in a file silences the whole file), or
-collectively through a checked-in JSON baseline keyed by
-``(rule, path, message)`` -- line numbers drift too easily to key on.
-The repository ships an *empty* baseline on purpose: every real
-finding the rules surface is fixed or suppressed with a justification
-comment, and CI fails on anything new.
+``disable-file=RULE`` anywhere in a file silences the whole file),
+next to a justification comment.  That is the one suppression
+mechanism: every real finding the rules surface is fixed or
+suppressed where it lives, and CI fails on anything new.
 """
 
 from __future__ import annotations
 
 import ast
-import json
 import re
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
-__all__ = ["Analyzer", "AstRule", "Baseline", "Finding", "ProjectRule",
-           "Rule", "dotted_name", "parse_suppressions"]
+from repro.analysis.project import ProjectIndex, dotted_name
+
+__all__ = ["Analyzer", "AstRule", "Finding", "ProjectRule", "Rule",
+           "dotted_name", "parse_allowlist", "parse_suppressions"]
 
 
 @dataclass(frozen=True, order=True)
@@ -44,10 +43,6 @@ class Finding:
     rule: str
     message: str
 
-    def key(self) -> tuple:
-        """Baseline identity: line numbers drift, messages rarely do."""
-        return (self.rule, self.path, self.message)
-
     def location(self) -> str:
         return f"{self.path}:{self.line}:{self.col}"
 
@@ -58,7 +53,7 @@ class Finding:
 class Rule:
     """Base class: an identified, documented, package-scoped check."""
 
-    #: Stable identifier used in reports, suppressions, and baselines.
+    #: Stable identifier used in reports and suppressions.
     id: str = ""
     #: One-line description shown by ``--list-rules``.
     description: str = ""
@@ -83,39 +78,59 @@ class AstRule(Rule):
 
 
 class ProjectRule(Rule):
-    """A whole-project check (may import and introspect live objects)."""
+    """A whole-project check over the tree's :class:`ProjectIndex`."""
 
-    #: Files (relative to the root) whose change triggers this rule in
-    #: ``--changed-only`` mode.  An entry ending in ``/`` is a prefix:
-    #: any changed file under that directory triggers the rule.
-    anchors: tuple = ()
-
-    def check_project(self, root: Path) -> list:
+    def check_project(self, index: ProjectIndex) -> list:
         raise NotImplementedError
 
-    def anchored_by(self, relpaths) -> bool:
-        """Is any of ``relpaths`` an anchor hit for this rule?"""
-        for anchor in self.anchors:
-            if anchor.endswith("/"):
-                if any(r.startswith(anchor) for r in relpaths):
-                    return True
-            elif anchor in relpaths:
-                return True
-        return False
 
+def parse_allowlist(tree: ast.Module, name: str, relpath: str,
+                    rule_id: str):
+    """``(entries, findings, lineno)`` from a module-level allowlist.
 
-def dotted_name(node: ast.AST) -> str | None:
-    """Best-effort dotted name of an expression (``np.random.default_rng``).
-
-    Returns ``None`` for anything that is not a plain ``Name`` /
-    ``Attribute`` chain (calls on call results, subscripts, ...).
+    The allowlist ``name`` must be a literal tuple of ``(entry,
+    justification)`` string pairs with a non-empty justification --
+    the rules that read one exist to force the *why* into the code.
+    ``entries`` is ``None`` when ``tree`` declares no such allowlist.
     """
-    if isinstance(node, ast.Name):
-        return node.id
-    if isinstance(node, ast.Attribute):
-        base = dotted_name(node.value)
-        return f"{base}.{node.attr}" if base else None
-    return None
+    findings: list[Finding] = []
+    for node in tree.body:
+        if isinstance(node, ast.AnnAssign) and \
+                isinstance(node.target, ast.Name) and \
+                node.target.id == name:
+            value = node.value
+        elif isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == name
+                for t in node.targets):
+            value = node.value
+        else:
+            continue
+        entries: list[str] = []
+        if not isinstance(value, ast.Tuple):
+            findings.append(Finding(
+                relpath, node.lineno, node.col_offset, rule_id,
+                f"{name} must be a literal tuple of "
+                f"(name, justification) pairs"))
+            return entries, findings, node.lineno
+        for elt in value.elts:
+            if (isinstance(elt, ast.Tuple) and len(elt.elts) == 2
+                    and all(isinstance(e, ast.Constant)
+                            and isinstance(e.value, str)
+                            for e in elt.elts)):
+                entry, why = (e.value for e in elt.elts)
+                if not why.strip():
+                    findings.append(Finding(
+                        relpath, elt.lineno, elt.col_offset, rule_id,
+                        f"{name} entry {entry!r} has an empty "
+                        f"justification"))
+                entries.append(entry)
+            else:
+                findings.append(Finding(
+                    relpath, elt.lineno, elt.col_offset, rule_id,
+                    f"{name} entries must be literal "
+                    f"(name, justification) string pairs"))
+        return entries, findings, node.lineno
+    return None, findings, 1
 
 
 # --- suppressions ------------------------------------------------------------
@@ -147,48 +162,10 @@ def parse_suppressions(source: str) -> tuple[dict, set]:
     return per_line, file_wide
 
 
-def _is_suppressed(finding: Finding, per_line: dict, file_wide: set) -> bool:
+def _is_suppressed(finding: Finding, suppressions: dict) -> bool:
+    per_line, file_wide = suppressions.get(finding.path, ({}, set()))
     ids = file_wide | per_line.get(finding.line, set())
     return bool(ids & {finding.rule, "all", "*"})
-
-
-# --- baseline ----------------------------------------------------------------
-
-class Baseline:
-    """Checked-in set of accepted findings (``.replint-baseline.json``).
-
-    Keys are ``(rule, path, message)`` so entries survive unrelated
-    edits shifting line numbers.  An empty baseline -- the state this
-    repository maintains -- means every finding fails CI.
-    """
-
-    def __init__(self, keys=()):
-        self.keys = set(keys)
-
-    @classmethod
-    def load(cls, path: str | Path) -> "Baseline":
-        payload = json.loads(Path(path).read_text())
-        keys = {(f["rule"], f["path"], f["message"])
-                for f in payload.get("findings", [])}
-        return cls(keys)
-
-    @staticmethod
-    def write(path: str | Path, findings) -> None:
-        payload = {
-            "version": 1,
-            "findings": [{"rule": f.rule, "path": f.path, "message": f.message}
-                         for f in sorted(findings)],
-        }
-        Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True)
-                              + "\n")
-
-    def split(self, findings) -> tuple[list, int]:
-        """``(new_findings, n_baselined)`` after filtering accepted keys."""
-        kept = [f for f in findings if f.key() not in self.keys]
-        return kept, len(findings) - len(kept)
-
-    def __len__(self) -> int:
-        return len(self.keys)
 
 
 # --- driver ------------------------------------------------------------------
@@ -198,18 +175,15 @@ def default_root() -> Path:
     return Path(__file__).resolve().parents[1]
 
 
-#: Directory names never analyzed (caches and bytecode, not source).
-_SKIP_DIRS = ("__pycache__", "_cache")
-
-
 class Analyzer:
     """Run a rule set over a source tree and collect findings.
 
     ``root`` is the package directory findings are reported relative to
-    (default: the live ``repro`` package).  ``analyze()`` with no file
-    list scans the whole tree and runs every project rule;  with an
-    explicit file list (the ``--changed-only`` path) project rules run
-    only when one of their anchor files is in the list.
+    (default: the live ``repro`` package).  ``analyze()`` parses once
+    into a :class:`ProjectIndex` (kept as ``self.index``) and runs the
+    AST rules over its module trees.  With no file list it indexes the
+    whole tree and also runs every project rule over the index; with
+    an explicit file list only the AST rules run.
     """
 
     def __init__(self, root: str | Path | None = None, rules=None):
@@ -218,72 +192,34 @@ class Analyzer:
             from repro.analysis.registry import all_rules
             rules = all_rules()
         self.rules = list(rules)
-
-    def iter_files(self) -> list[Path]:
-        return sorted(p for p in self.root.rglob("*.py")
-                      if not any(part in _SKIP_DIRS for part in p.parts))
-
-    def relpath(self, path: Path) -> str:
-        path = Path(path).resolve()
-        try:
-            return path.relative_to(self.root).as_posix()
-        except ValueError:
-            return path.as_posix()
+        self.index: ProjectIndex | None = None
 
     def analyze(self, files=None) -> list[Finding]:
         """Findings over ``files`` (default: the whole tree), sorted.
 
-        Suppression comments are honoured for every finding whose path
-        resolves to a readable file -- including project-rule findings,
-        whose locations point into the anchor sources.
+        Suppression comments are honoured for every finding that points
+        into an indexed file -- project-rule findings included.
         """
-        explicit = files is not None
-        paths = [Path(f).resolve() for f in files] if explicit else self.iter_files()
-        ast_rules = [r for r in self.rules if isinstance(r, AstRule)]
-        project_rules = [r for r in self.rules if isinstance(r, ProjectRule)]
-
-        findings: list[Finding] = []
+        paths = None if files is None else \
+            sorted({Path(f).resolve() for f in files})
+        self.index = index = ProjectIndex(self.root, paths)
+        findings = [Finding(relpath, line, 0, "parse-error", message)
+                    for relpath, line, message in index.parse_errors]
         suppressions: dict[str, tuple[dict, set]] = {}
-        for path in paths:
-            relpath = self.relpath(path)
-            try:
-                source = path.read_text(encoding="utf-8")
-                tree = ast.parse(source, filename=str(path))
-            except (OSError, SyntaxError, ValueError) as exc:
-                findings.append(Finding(relpath, getattr(exc, "lineno", 1) or 1,
-                                        0, "parse-error",
-                                        f"cannot analyze: {exc}"))
-                continue
-            per_line, file_wide = parse_suppressions(source)
-            suppressions[relpath] = (per_line, file_wide)
-            for rule in ast_rules:
-                if not rule.applies_to(relpath):
-                    continue
-                for finding in rule.check(tree, source, relpath):
-                    if not _is_suppressed(finding, per_line, file_wide):
-                        findings.append(finding)
-
-        relpaths = {self.relpath(p) for p in paths}
-        for rule in project_rules:
-            if explicit and not rule.anchored_by(relpaths):
-                continue
-            for finding in rule.check_project(self.root):
-                per_line, file_wide = self._suppressions_for(
-                    finding.path, suppressions)
-                if not _is_suppressed(finding, per_line, file_wide):
-                    findings.append(finding)
+        for info in index.modules.values():
+            suppressions[info.relpath] = parse_suppressions(info.source)
+            for rule in self.rules:
+                if isinstance(rule, AstRule) and rule.applies_to(info.relpath):
+                    findings.extend(
+                        f for f in rule.check(info.tree, info.source,
+                                              info.relpath)
+                        if not _is_suppressed(f, suppressions))
+        if files is None:
+            for rule in self.rules:
+                if isinstance(rule, ProjectRule):
+                    findings.extend(f for f in rule.check_project(index)
+                                    if not _is_suppressed(f, suppressions))
         return sorted(findings)
-
-    def _suppressions_for(self, relpath: str, cache: dict) -> tuple[dict, set]:
-        if relpath not in cache:
-            path = self.root / relpath
-            try:
-                per_line, file_wide = parse_suppressions(
-                    path.read_text(encoding="utf-8"))
-            except OSError:
-                per_line, file_wide = {}, set()
-            cache[relpath] = (per_line, file_wide)
-        return cache[relpath]
 
 
 def finding_to_dict(finding: Finding) -> dict:

@@ -25,7 +25,9 @@ which is the right default for a linter that fails CI.
 
 Everything here is pure AST -- no imports of the analyzed code -- so
 the same index works on the live package and on known-bad fixture
-trees under ``tests/fixtures/replint/``.
+trees under ``tests/fixtures/replint/``.  The index is the analyzer's
+one parse of the tree: the per-file rules run over its module trees
+and every whole-project rule queries it.
 """
 
 from __future__ import annotations
@@ -34,12 +36,24 @@ import ast
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro.analysis.core import dotted_name
+__all__ = ["FunctionInfo", "ModuleInfo", "ProjectIndex", "dotted_name"]
 
-__all__ = ["FunctionInfo", "ModuleInfo", "ProjectIndex"]
+#: Directory names never analyzed (caches and bytecode, not source).
+SKIP_DIRS = ("__pycache__", "_cache")
 
-#: Directory names never indexed (mirrors the analyzer's skip list).
-_SKIP_DIRS = ("__pycache__", "_cache")
+
+def dotted_name(node: ast.AST) -> str | None:
+    """Best-effort dotted name of an expression (``np.random.default_rng``).
+
+    Returns ``None`` for anything that is not a plain ``Name`` /
+    ``Attribute`` chain (calls on call results, subscripts, ...).
+    """
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        base = dotted_name(node.value)
+        return f"{base}.{node.attr}" if base else None
+    return None
 
 
 @dataclass
@@ -73,9 +87,15 @@ class ModuleInfo:
 
 
 class ProjectIndex:
-    """Symbol table + call graph over one analyzed source tree."""
+    """Symbol table + call graph over one analyzed source tree.
 
-    def __init__(self, root: str | Path):
+    ``paths`` restricts the index to those files (the analyzer's
+    explicit-file mode); the default is every ``*.py`` under ``root``
+    outside :data:`SKIP_DIRS`.  Files that cannot be read or parsed
+    are recorded in ``parse_errors`` as ``(relpath, line, message)``.
+    """
+
+    def __init__(self, root: str | Path, paths=None):
         self.root = Path(root).resolve()
         #: The root package name imports are written against
         #: (``repro`` for the live tree): ``repro.netsim.link`` and the
@@ -88,20 +108,25 @@ class ProjectIndex:
         self.methods: dict[str, dict] = {}
         self.callees: dict[str, set] = {}
         self.callers: dict[str, set] = {}
-        self._build()
+        self.parse_errors: list[tuple[str, int, str]] = []
+        self._build(paths)
 
     # --- construction -----------------------------------------------------
 
-    def _build(self) -> None:
-        for path in sorted(self.root.rglob("*.py")):
-            if any(part in _SKIP_DIRS for part in path.parts):
-                continue
-            relpath = path.relative_to(self.root).as_posix()
+    def _build(self, paths) -> None:
+        if paths is None:
+            paths = [p for p in sorted(self.root.rglob("*.py"))
+                     if not any(part in SKIP_DIRS for part in p.parts)]
+        for path in paths:
+            relpath = self._relpath(path)
             try:
                 source = path.read_text(encoding="utf-8")
                 tree = ast.parse(source, filename=str(path))
-            except (OSError, SyntaxError, ValueError):
-                continue  # the analyzer reports parse errors separately
+            except (OSError, SyntaxError, ValueError) as exc:
+                self.parse_errors.append(
+                    (relpath, getattr(exc, "lineno", 1) or 1,
+                     f"cannot analyze: {exc}"))
+                continue
             module = self._module_name(relpath)
             info = ModuleInfo(module=module, relpath=relpath, tree=tree,
                               source=source)
@@ -112,6 +137,14 @@ class ProjectIndex:
         for info in self.modules.values():
             self._collect_functions(info)
         self._resolve_calls()
+
+    def _relpath(self, path) -> str:
+        """``path`` relative to the root (absolute when outside it)."""
+        path = Path(path).resolve()
+        try:
+            return path.relative_to(self.root).as_posix()
+        except ValueError:
+            return path.as_posix()
 
     def _module_name(self, relpath: str) -> str:
         parts = relpath[:-3].split("/")  # strip ".py"
@@ -256,8 +289,10 @@ class ProjectIndex:
 
     # --- queries ----------------------------------------------------------
 
-    def module_of_path(self, relpath: str) -> str | None:
-        return self._relpath_to_module.get(relpath.replace("\\", "/"))
+    def module_at(self, relpath: str) -> ModuleInfo | None:
+        """The indexed module at root-relative ``relpath``, if any."""
+        module = self._relpath_to_module.get(relpath)
+        return None if module is None else self.modules[module]
 
     def enclosing_function(self, relpath: str, lineno: int) -> FunctionInfo | None:
         """Innermost indexed function containing ``lineno`` of ``relpath``."""

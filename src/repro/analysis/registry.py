@@ -2,11 +2,7 @@
 
 from __future__ import annotations
 
-from repro.analysis.rules_batch import (
-    BatchIsolationRule,
-    BatchRngRule,
-    BatchSharedMutableRule,
-)
+from repro.analysis.rules_batch import BatchRngRule, BatchSharedMutableRule
 from repro.analysis.rules_dataflow import (
     EnvTaintRule,
     MutableGlobalStateRule,
@@ -29,11 +25,7 @@ from repro.analysis.rules_engine import (
     TransmitUnpackRule,
 )
 from repro.analysis.rules_fingerprint import FingerprintCoverageRule
-from repro.analysis.rules_resilience import (
-    FaultSignatureCoverageRule,
-    FaultStreamDeclarationRule,
-    ResilienceRetryRule,
-)
+from repro.analysis.rules_resilience import ResilienceRetryRule
 from repro.analysis.rules_rng import AdhocRngRule
 
 __all__ = ["all_rules", "rules_by_id"]
@@ -64,10 +56,7 @@ _RULE_CLASSES = (
     # cross-cell isolation (batched execution)
     BatchSharedMutableRule,
     BatchRngRule,
-    BatchIsolationRule,
-    # fault injection & resilient sweep runtime
-    FaultSignatureCoverageRule,
-    FaultStreamDeclarationRule,
+    # resilient sweep runtime
     ResilienceRetryRule,
 )
 

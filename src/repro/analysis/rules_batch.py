@@ -5,51 +5,38 @@ process, which is only sound if the cells behave exactly as if each
 ran alone.  The contract (documented in that module) is: cells share
 *immutable* assets only, every shared binding is declared on a
 justified ``SHARED_IMMUTABLE_ALLOWLIST``, and the batch layer itself
-never mints or drains an RNG stream.  Three rules check the contract
-from independent directions:
+never mints or drains an RNG stream.  Two static rules check it:
 
 ``batch-shared-mutable``
-    Static: any object created *outside* the per-cell build loop and
-    handed to a cell build (``build_scenario_simulation`` /
-    ``Simulation``) must flow through an allowlisted binding name --
-    and every allowlist entry must correspond to such a binding
-    (stale entries are findings, the same honesty mechanism the env
-    allowlist uses).
+    Any object created *outside* the per-cell build loop and handed to
+    a cell build (``build_scenario_simulation`` / ``Simulation``) must
+    flow through an allowlisted binding name -- and every allowlist
+    entry must correspond to such a binding (stale entries are
+    findings, the same honesty mechanism the env allowlist uses).
 
 ``batch-rng-derivation``
-    Static: the batch layer must not construct or draw from RNG
-    streams.  Generators are derived per cell, from the cell's own
-    scenario seed, through the :mod:`repro.netsim.rngstreams`
-    registry -- the contrapositive of "generators handed to a cell
-    trace to a cell-indexed stream derivation".
+    The batch layer must not construct or draw from RNG streams.
+    Generators are derived per cell, from the cell's own scenario
+    seed, through the :mod:`repro.netsim.rngstreams` registry -- the
+    contrapositive of "generators handed to a cell trace to a
+    cell-indexed stream derivation".
 
-``batch-cell-isolation``
-    Live: build two probe cells of the installed package sharing a
-    named trace, walk both object graphs, and assert that every
-    object reachable from *both* cells' :class:`SimState` instances
-    is immutable (or justified).  A shared ``np.random.Generator`` is
-    called out specially.  The probe only runs against the installed
-    package root; foreign roots (fixture trees) are covered by the
-    static rules, and :func:`check_cell_isolation` is exposed so the
-    tests can aim the walker at hand-built bad cells.
+The live counterpart -- two built cells' object graphs share no
+unlisted mutable object -- is an ordinary test in
+``tests/test_batch.py``.
 """
 
 from __future__ import annotations
 
 import ast
-import gc
-import types
-from pathlib import Path
 
-from repro.analysis.core import (AstRule, Finding, ProjectRule, default_root,
-                                 dotted_name)
+from repro.analysis.core import (AstRule, Finding, ProjectRule, dotted_name,
+                                 parse_allowlist)
 
 __all__ = [
     "BatchSharedMutableRule",
     "BatchRngRule",
-    "BatchIsolationRule",
-    "check_batch_source",
-    "check_cell_isolation",
+    "check_batch_tree",
 ]
 
 #: The module the batch contract lives in, relative to the package root.
@@ -79,54 +66,6 @@ def _root_name(node: ast.AST) -> str | None:
     return node.id if isinstance(node, ast.Name) else None
 
 
-def _parse_allowlist(tree: ast.Module, relpath: str, rule_id: str):
-    """``(names, findings, lineno)`` from the allowlist declaration.
-
-    ``names`` is ``None`` when no declaration exists at module level.
-    Entries must be literal ``(name, justification)`` string pairs with
-    a non-empty justification -- the rule exists to force the *why*
-    into the code.
-    """
-    findings: list[Finding] = []
-    for node in tree.body:
-        if isinstance(node, ast.AnnAssign) and \
-                isinstance(node.target, ast.Name) and \
-                node.target.id == ALLOWLIST_NAME:
-            value = node.value
-        elif isinstance(node, ast.Assign) and any(
-                isinstance(t, ast.Name) and t.id == ALLOWLIST_NAME
-                for t in node.targets):
-            value = node.value
-        else:
-            continue
-        names: list[str] = []
-        if not isinstance(value, ast.Tuple):
-            findings.append(Finding(
-                relpath, node.lineno, node.col_offset, rule_id,
-                f"{ALLOWLIST_NAME} must be a literal tuple of "
-                f"(name, justification) pairs"))
-            return names, findings, node.lineno
-        for elt in value.elts:
-            if (isinstance(elt, ast.Tuple) and len(elt.elts) == 2
-                    and all(isinstance(e, ast.Constant)
-                            and isinstance(e.value, str)
-                            for e in elt.elts)):
-                name, why = (e.value for e in elt.elts)
-                if not why.strip():
-                    findings.append(Finding(
-                        relpath, elt.lineno, elt.col_offset, rule_id,
-                        f"{ALLOWLIST_NAME} entry {name!r} has an empty "
-                        f"justification"))
-                names.append(name)
-            else:
-                findings.append(Finding(
-                    relpath, elt.lineno, elt.col_offset, rule_id,
-                    f"{ALLOWLIST_NAME} entries must be literal "
-                    f"(name, justification) string pairs"))
-        return names, findings, node.lineno
-    return None, findings, 1
-
-
 def _loop_bound_names(loop: ast.AST) -> set:
     """Names (re)bound inside ``loop`` -- per-iteration objects."""
     bound: set = set()
@@ -141,11 +80,11 @@ def _loop_bound_names(loop: ast.AST) -> set:
     return bound
 
 
-def check_batch_source(source: str, relpath: str = BATCH_RELPATH,
-                       rule_id: str = "batch-shared-mutable") -> list:
-    """All ``batch-shared-mutable`` findings for one batch-layer file."""
-    tree = ast.parse(source)
-    allow, findings, allow_line = _parse_allowlist(tree, relpath, rule_id)
+def check_batch_tree(tree: ast.Module, relpath: str = BATCH_RELPATH,
+                     rule_id: str = "batch-shared-mutable") -> list:
+    """All ``batch-shared-mutable`` findings for one batch-layer module."""
+    allow, findings, allow_line = parse_allowlist(tree, ALLOWLIST_NAME,
+                                                  relpath, rule_id)
     shared_uses: set = set()
     build_calls = 0
 
@@ -198,13 +137,12 @@ class BatchSharedMutableRule(ProjectRule):
     description = ("objects shared across batched cells must flow through "
                    "the justified SHARED_IMMUTABLE_ALLOWLIST")
     family = "isolation"
-    anchors = (BATCH_RELPATH,)
 
-    def check_project(self, root: Path) -> list:
-        path = Path(root) / BATCH_RELPATH
-        if not path.exists():
+    def check_project(self, index) -> list:
+        info = index.module_at(BATCH_RELPATH)
+        if info is None:
             return []
-        return check_batch_source(path.read_text(), BATCH_RELPATH, self.id)
+        return check_batch_tree(info.tree, BATCH_RELPATH, self.id)
 
 
 # --- static: no RNG minting or draining in the batch layer ------------------
@@ -238,144 +176,3 @@ class BatchRngRule(AstRule):
                     f"layer; interleaving order must never influence any "
                     f"cell's stream state"))
         return findings
-
-
-# --- live: walk two probe cells' object graphs ------------------------------
-
-#: Never traversed (and never reported): code/metadata objects shared
-#: by construction, not by the batch layer.
-_PRUNE_TYPES = (type, types.ModuleType, types.FunctionType,
-                types.BuiltinFunctionType, types.CodeType,
-                types.GetSetDescriptorType, types.MemberDescriptorType,
-                types.MappingProxyType, property, staticmethod, classmethod)
-
-#: Traversed but never reported: immutable values (or pure references
-#: whose targets are themselves walked, like tuples and bound methods).
-_INERT_TYPES = (str, bytes, bool, int, float, complex, type(None),
-                frozenset, range, slice, tuple, types.MethodType)
-
-
-def _reachable(obj) -> dict:
-    """``{id: object}`` for everything reachable from ``obj``."""
-    seen: dict = {}
-    stack = [obj]
-    while stack:
-        cur = stack.pop()
-        if id(cur) in seen or isinstance(cur, _PRUNE_TYPES):
-            continue
-        seen[id(cur)] = cur
-        stack.extend(gc.get_referents(cur))
-    return seen
-
-
-def _default_allowed(obj) -> bool:
-    """The live counterpart of the declared allowlist: frozen traces."""
-    import numpy as np
-
-    from repro.netsim.traces import BandwidthTrace
-    if isinstance(obj, BandwidthTrace):
-        return all(not value.flags.writeable
-                   for value in vars(obj).values()
-                   if isinstance(value, np.ndarray))
-    return False
-
-
-def check_cell_isolation(states, allowed=_default_allowed,
-                         relpath: str = BATCH_RELPATH,
-                         rule_id: str = "batch-cell-isolation") -> list:
-    """Findings for mutable objects reachable from >= 2 of ``states``.
-
-    ``states`` are the cells' :class:`SimState` objects (anything
-    rooting a cell's object graph works).  ``allowed(obj)`` says
-    whether a shared object is justified -- the default accepts only
-    traces whose array payloads are frozen read-only, mirroring the
-    declared allowlist in :mod:`repro.eval.batch`.
-    """
-    import numpy as np
-
-    graphs = [_reachable(state) for state in states]
-    counts: dict = {}
-    for graph in graphs:
-        for obj_id in graph:
-            counts[obj_id] = counts.get(obj_id, 0) + 1
-    shared = [(next(g[obj_id] for g in graphs if obj_id in g), n)
-              for obj_id, n in counts.items() if n >= 2]
-
-    def _is_frozen_dataclass(obj) -> bool:
-        params = getattr(type(obj), "__dataclass_params__", None)
-        return params is not None and params.frozen
-
-    # A justified instance's attribute ``__dict__`` is the same asset,
-    # not an independent sharing channel -- exempt it alongside its
-    # owner (mutating it is already a hard fault for frozen arrays and
-    # is what the probe exists to keep impossible elsewhere).
-    exempt_ids = {id(vars(obj)) for obj, _ in shared
-                  if hasattr(obj, "__dict__")
-                  and (_is_frozen_dataclass(obj) or allowed(obj))}
-
-    messages: set = set()
-    for obj, n in shared:
-        if id(obj) in exempt_ids:
-            continue
-        if isinstance(obj, _INERT_TYPES) or \
-                isinstance(obj, (np.dtype, np.generic)):
-            continue
-        if isinstance(obj, np.ndarray) and not obj.flags.writeable:
-            continue
-        if _is_frozen_dataclass(obj):
-            # The instance cannot be rebound; its field values are
-            # themselves in the walk and judged on their own.
-            continue
-        if allowed(obj):
-            continue
-        kind = f"{type(obj).__module__}.{type(obj).__qualname__}"
-        if isinstance(obj, (np.random.Generator, np.random.BitGenerator,
-                            np.random.SeedSequence)):
-            messages.add(
-                f"{kind} is reachable from {n} cells' SimStates; every "
-                f"generator handed to a cell must derive from that "
-                f"cell's own cell-indexed stream (rngstreams registry)")
-        else:
-            messages.add(
-                f"mutable {kind} is reachable from {n} cells' SimStates; "
-                f"cross-cell objects must be immutable and justified in "
-                f"{ALLOWLIST_NAME}")
-    return [Finding(relpath, 1, 0, rule_id, message)
-            for message in sorted(messages)]
-
-
-class BatchIsolationRule(ProjectRule):
-    id = "batch-cell-isolation"
-    description = ("no unlisted mutable object is reachable from two "
-                   "batched cells' SimStates (live two-cell probe)")
-    family = "isolation"
-    anchors = (BATCH_RELPATH, "eval/scenarios.py", "netsim/")
-
-    def check_project(self, root: Path) -> list:
-        if Path(root).resolve() != default_root():
-            # The probe builds cells of the *installed* package; on a
-            # foreign root it would attribute installed-tree findings
-            # to files that are not being analyzed.  The static rules
-            # carry the contract there.
-            return []
-        try:
-            from repro.eval.batch import BatchRunner
-            from repro.eval.scenarios import ScenarioSuite
-        except Exception as exc:  # pragma: no cover - environment issue
-            return [Finding(BATCH_RELPATH, 1, 0, self.id,
-                            f"isolation probe could not import the batch "
-                            f"layer: {exc}")]
-        # Two classical-scheme cells sharing one named trace: cheap to
-        # build (no zoo resolution, nothing is run) yet exercising the
-        # exact sharing path -- make_trace(cache=...) -- batches use.
-        scenarios = ScenarioSuite(
-            name="replint-isolation-probe", lineups=[("cubic", "bbr")],
-            traces=("wifi-walk",), seeds=(0, 1), duration=0.05).expand()
-        cells = BatchRunner(prewarm=False).build_cells(scenarios)
-        broken = [c for c in cells if c.error is not None]
-        if broken:
-            return [Finding(BATCH_RELPATH, 1, 0, self.id,
-                            f"isolation probe cell failed to build: "
-                            f"{broken[0].error}")]
-        return check_cell_isolation([cell.sim.state for cell in cells],
-                                    rule_id=self.id)

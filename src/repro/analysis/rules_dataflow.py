@@ -34,7 +34,6 @@ package and on fixture trees.
 from __future__ import annotations
 
 import ast
-from pathlib import Path
 
 from repro.analysis.core import AstRule, Finding, ProjectRule, dotted_name
 from repro.analysis.project import ProjectIndex
@@ -64,16 +63,12 @@ _INDEX_SALT_FLOOR = 1 << 16
 
 # --- rng-stream-ownership ----------------------------------------------------
 
-def _parse_registry(path: Path) -> list[dict] | None:
-    """StreamDef literals from a registry source, or ``None`` if absent.
+def _parse_registry(tree: ast.Module) -> list[dict]:
+    """StreamDef literals from a registry module.
 
     Pure AST extraction (constant keywords only) so the rule works on
     fixture registries without importing them.
     """
-    try:
-        tree = ast.parse(path.read_text(encoding="utf-8"))
-    except (OSError, SyntaxError, ValueError):
-        return None
     streams = []
     for node in ast.walk(tree):
         if not isinstance(node, ast.Call):
@@ -102,26 +97,18 @@ class RngStreamOwnershipRule(ProjectRule):
     description = ("every netsim RNG construction goes through a stream "
                    "declared in netsim/rngstreams.py; declared "
                    "derivations must be collision-free or justified")
-    anchors = ("netsim/",)
 
-    def check_project(self, root):
-        root = Path(root)
-        registry_path = root / _REGISTRY_RELPATH
-        streams = _parse_registry(registry_path)
+    def check_project(self, index: ProjectIndex):
+        registry = index.module_at(_REGISTRY_RELPATH)
+        streams = _parse_registry(registry.tree) if registry else None
         findings = []
         used_names: set = set()
 
-        netsim_dir = root / "netsim"
-        paths = sorted(netsim_dir.rglob("*.py")) if netsim_dir.is_dir() else []
-        for path in paths:
-            if "__pycache__" in path.parts:
+        for info in sorted(index.modules.values(), key=lambda m: m.relpath):
+            relpath = info.relpath
+            if not relpath.startswith("netsim/"):
                 continue
-            relpath = path.relative_to(root).as_posix()
-            try:
-                tree = ast.parse(path.read_text(encoding="utf-8"))
-            except (OSError, SyntaxError, ValueError):
-                continue
-            for node in ast.walk(tree):
+            for node in ast.walk(info.tree):
                 if not isinstance(node, ast.Call):
                     continue
                 name = dotted_name(node.func)
@@ -433,10 +420,8 @@ class EnvTaintRule(ProjectRule):
     description = ("os.environ reads reaching Simulation/Scenario "
                    "execution or cached rows must be fingerprinted or "
                    "on the justified allowlist (stale entries flagged)")
-    anchors = ("netsim/", "eval/", "models/", "analysis/rules_dataflow.py")
 
-    def check_project(self, root):
-        index = ProjectIndex(root)
+    def check_project(self, index: ProjectIndex):
         findings = []
         seen_vars: set = set()
         any_reads = False
@@ -693,10 +678,8 @@ class SignaturePurityRule(ProjectRule):
     description = ("fingerprint/signature functions (and their direct "
                    "callees) must be side-effect-free: no stores, write "
                    "I/O, RNG use, env or clock reads")
-    anchors = ("eval/scenarios.py", "netsim/", "eval/runner.py")
 
-    def check_project(self, root):
-        index = ProjectIndex(root)
+    def check_project(self, index: ProjectIndex):
         findings = []
         emitted: set = set()
         for qual, fn in sorted(index.functions.items()):

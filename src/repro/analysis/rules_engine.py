@@ -22,27 +22,26 @@ deep into a run, or (at worst) a silently wrong trace:
 
 The per-file checks are plain :class:`~repro.analysis.core.AstRule`
 syntax; the handler-table check is a
-:class:`~repro.analysis.core.ProjectRule` anchored at
-``netsim/network.py`` whose worker, :func:`check_engine_source`, also
-runs on fixture files in the self-tests.
+:class:`~repro.analysis.core.ProjectRule` over ``netsim/network.py``
+whose worker, :func:`check_engine_tree`, also runs on fixture files in
+the self-tests.
 """
 
 from __future__ import annotations
 
 import ast
 from collections import Counter
-from pathlib import Path
 
 from repro.analysis.core import AstRule, Finding, ProjectRule, dotted_name
 
 __all__ = ["EventTableRule", "HeapPushRule", "SlotsAttrsRule",
-           "TransmitUnpackRule", "check_engine_source"]
+           "TransmitUnpackRule", "check_engine_tree"]
 
 
 # --- event-handler table ------------------------------------------------------
 
-def check_engine_source(source: str, relpath: str,
-                        rule_id: str = "event-handler-table") -> list:
+def check_engine_tree(tree: ast.Module, relpath: str,
+                      rule_id: str = "event-handler-table") -> list:
     """Handler-table findings for one engine-shaped module.
 
     Expects the module to declare its event kinds as one module-level
@@ -51,7 +50,6 @@ def check_engine_source(source: str, relpath: str,
     the same check runs on the real engine and on the known-bad
     fixtures.
     """
-    tree = ast.parse(source)
     findings: list[Finding] = []
 
     ev_names: list[str] = []
@@ -120,14 +118,12 @@ class EventTableRule(ProjectRule):
     family = "engine"
     description = ("every EV_* event kind is registered exactly once in "
                    "Simulation._handlers and scheduled by some push site")
-    anchors = ("netsim/network.py",)
 
-    def check_project(self, root: Path):
-        path = root / "netsim" / "network.py"
-        if not path.exists():
+    def check_project(self, index):
+        info = index.module_at("netsim/network.py")
+        if info is None:
             return []
-        return check_engine_source(path.read_text(encoding="utf-8"),
-                                   "netsim/network.py", self.id)
+        return check_engine_tree(info.tree, info.relpath, self.id)
 
 
 # --- heap pushes --------------------------------------------------------------

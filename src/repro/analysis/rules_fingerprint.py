@@ -28,7 +28,6 @@ import ast
 import inspect
 import textwrap
 from dataclasses import dataclass, fields, is_dataclass
-from pathlib import Path
 
 from repro.analysis.core import Finding, ProjectRule
 
@@ -165,9 +164,8 @@ class FingerprintCoverageRule(ProjectRule):
     description = ("every Scenario/FlowDef/LinkDef/PathDef/TopologySpec "
                    "field is consumed by its signature function or "
                    "explicitly excluded")
-    anchors = ("eval/scenarios.py", "netsim/topology.py")
 
-    def check_project(self, root: Path):
+    def check_project(self, index):
         try:
             specs = default_specs()
         except Exception as exc:  # pragma: no cover - import environment issue

@@ -1,26 +1,4 @@
-"""Fault-injection and resilient-runtime rules.
-
-The fault layer (:mod:`repro.netsim.faults`) and the resilient sweep
-runtime (:mod:`repro.eval.resilience`) each extend the determinism
-contract in a way generic rules cannot see, so three dedicated checks
-guard them:
-
-``fault-signature-coverage``
-    Static: every fault-spec dataclass in ``netsim/faults.py`` must
-    list *all* of its fields in ``_signature_fields``.  The topology
-    fingerprint folds fault schedules in through those tuples -- a
-    field that escapes them is a knob that changes simulated results
-    without changing the cache key, i.e. a cache poisoner.  Stale
-    entries naming no field are findings too.
-
-``fault-stream-declaration``
-    Static: every RNG stream the fault runtime mints
-    (``stream_rng("...")`` literals in ``netsim/faults.py``) must be
-    declared in the ``STREAMS`` registry with ``derive`` =
-    ``"salted-indexed"`` -- entropy ``(seed, salt, index)``, disjoint
-    from sibling per-link streams by salt and keyed by link position
-    -- and the fault streams' salts must not collide with any other
-    salted stream.
+"""Resilient-runtime rule: retried pool tasks must be idempotent.
 
 ``resilience-idempotent-retry``
     Static: :class:`~repro.eval.resilience.ResilientPool` re-runs its
@@ -35,271 +13,28 @@ guard them:
 from __future__ import annotations
 
 import ast
-from pathlib import Path
 
-from repro.analysis.core import Finding, ProjectRule, dotted_name
+from repro.analysis.core import (Finding, ProjectRule, dotted_name,
+                                 parse_allowlist)
 
-__all__ = [
-    "FaultSignatureCoverageRule",
-    "FaultStreamDeclarationRule",
-    "ResilienceRetryRule",
-]
+__all__ = ["ResilienceRetryRule"]
 
-FAULTS_RELPATH = "netsim/faults.py"
-STREAMS_RELPATH = "netsim/rngstreams.py"
 RESILIENCE_RELPATH = "eval/resilience.py"
 
 TASK_ALLOWLIST_NAME = "IDEMPOTENT_TASKS"
 
-#: Directory names never scanned (mirrors the analyzer's skip set).
-_SKIP_DIRS = ("__pycache__", "_cache")
+#: The package allowlist entries are dotted against
+#: (``repro.eval.parallel._run_batch``).
+PACKAGE = "repro"
 
 
-def _parse_tree(root: Path, relpath: str) -> ast.Module | None:
-    path = Path(root) / relpath
-    try:
-        return ast.parse(path.read_text(encoding="utf-8"))
-    except (OSError, SyntaxError, ValueError):
-        return None  # missing/broken files are the parse-error rule's job
-
-
-def _iter_sources(root: Path):
-    """``(relpath, tree)`` for every parseable module under ``root``."""
-    root = Path(root)
-    for path in sorted(root.rglob("*.py")):
-        if any(part in _SKIP_DIRS for part in path.parts):
-            continue
-        relpath = path.relative_to(root).as_posix()
-        try:
-            yield relpath, ast.parse(path.read_text(encoding="utf-8"))
-        except (OSError, SyntaxError, ValueError):
-            continue
-
-
-# --- fault-signature-coverage ------------------------------------------------
-
-class FaultSignatureCoverageRule(ProjectRule):
-    id = "fault-signature-coverage"
-    description = ("every field of every fault-spec dataclass is listed in "
-                   "_signature_fields (fault knobs must reach the topology "
-                   "fingerprint)")
-    family = "faults"
-    anchors = (FAULTS_RELPATH,)
-
-    def check_project(self, root: Path) -> list:
-        tree = _parse_tree(root, FAULTS_RELPATH)
-        if tree is None:
-            return []
-        findings: list[Finding] = []
-        for node in tree.body:
-            if not isinstance(node, ast.ClassDef):
-                continue
-            is_dataclass = any(
-                (dotted_name(d) or dotted_name(getattr(d, "func", d)) or "")
-                .rsplit(".", 1)[-1] == "dataclass"
-                for d in node.decorator_list)
-            fields = [stmt.target.id for stmt in node.body
-                      if isinstance(stmt, ast.AnnAssign)
-                      and isinstance(stmt.target, ast.Name)
-                      and not stmt.target.id.startswith("_")]
-            declared: list[str] | None = None
-            declared_line = node.lineno
-            for stmt in node.body:
-                if isinstance(stmt, ast.Assign) and any(
-                        isinstance(t, ast.Name)
-                        and t.id == "_signature_fields"
-                        for t in stmt.targets):
-                    declared_line = stmt.lineno
-                    if isinstance(stmt.value, (ast.Tuple, ast.List)) and all(
-                            isinstance(e, ast.Constant)
-                            and isinstance(e.value, str)
-                            for e in stmt.value.elts):
-                        declared = [e.value for e in stmt.value.elts]
-                    else:
-                        findings.append(Finding(
-                            FAULTS_RELPATH, stmt.lineno, stmt.col_offset,
-                            self.id,
-                            f"{node.name}._signature_fields must be a "
-                            f"literal tuple of field-name strings"))
-                        declared = []
-            if not is_dataclass or not fields:
-                continue
-            if declared is None:
-                findings.append(Finding(
-                    FAULTS_RELPATH, node.lineno, node.col_offset, self.id,
-                    f"fault spec {node.name} declares no _signature_fields; "
-                    f"its knobs would never reach the topology fingerprint"))
-                continue
-            for name in fields:
-                if name not in declared:
-                    findings.append(Finding(
-                        FAULTS_RELPATH, node.lineno, node.col_offset, self.id,
-                        f"field {name!r} of fault spec {node.name} is "
-                        f"missing from _signature_fields; changing it "
-                        f"would alter simulated results without changing "
-                        f"the cache key"))
-            for name in declared:
-                if name not in fields:
-                    findings.append(Finding(
-                        FAULTS_RELPATH, declared_line, 0, self.id,
-                        f"stale _signature_fields entry {name!r} on "
-                        f"{node.name}: no such field; remove it"))
-        return findings
-
-
-# --- fault-stream-declaration -------------------------------------------------
-
-def _registry_streams(tree: ast.Module) -> dict[str, dict]:
-    """``{name: {field: literal}}`` for every StreamDef literal."""
-    streams: dict[str, dict] = {}
-    for node in ast.walk(tree):
-        if not isinstance(node, ast.Call):
-            continue
-        func = dotted_name(node.func)
-        if func is None or func.rsplit(".", 1)[-1] != "StreamDef":
-            continue
-        info = {kw.arg: kw.value.value for kw in node.keywords
-                if kw.arg is not None and isinstance(kw.value, ast.Constant)}
-        name = info.get("name")
-        if isinstance(name, str):
-            streams[name] = info
-    return streams
-
-
-class FaultStreamDeclarationRule(ProjectRule):
-    id = "fault-stream-declaration"
-    description = ("fault RNG streams are declared in the rngstreams "
-                   "registry as salted-indexed with collision-free salts")
-    family = "faults"
-    anchors = (FAULTS_RELPATH, STREAMS_RELPATH)
-
-    def check_project(self, root: Path) -> list:
-        faults_tree = _parse_tree(root, FAULTS_RELPATH)
-        if faults_tree is None:
-            return []
-        used: list[tuple[str, int, int]] = []
-        for node in ast.walk(faults_tree):
-            if not isinstance(node, ast.Call):
-                continue
-            func = dotted_name(node.func)
-            if func is None or func.rsplit(".", 1)[-1] != "stream_rng":
-                continue
-            if node.args and isinstance(node.args[0], ast.Constant) \
-                    and isinstance(node.args[0].value, str):
-                used.append((node.args[0].value, node.lineno,
-                             node.col_offset))
-            # Non-literal stream names are rng-stream-ownership's job.
-        if not used:
-            return []
-        streams_tree = _parse_tree(root, STREAMS_RELPATH)
-        streams = (_registry_streams(streams_tree)
-                   if streams_tree is not None else {})
-        findings: list[Finding] = []
-        fault_names = {name for name, _, _ in used}
-        for name, line, col in used:
-            info = streams.get(name)
-            if info is None:
-                findings.append(Finding(
-                    FAULTS_RELPATH, line, col, self.id,
-                    f"fault stream {name!r} is minted here but not "
-                    f"declared in the STREAMS registry"))
-                continue
-            if info.get("derive") != "salted-indexed":
-                findings.append(Finding(
-                    STREAMS_RELPATH, 1, 0, self.id,
-                    f"fault stream {name!r} must derive "
-                    f"'salted-indexed' (seed, salt, link index), got "
-                    f"{info.get('derive')!r}: fault draws must be "
-                    f"disjoint from sibling per-link streams by salt "
-                    f"and keyed by link position"))
-            elif "salt" not in info:
-                findings.append(Finding(
-                    STREAMS_RELPATH, 1, 0, self.id,
-                    f"fault stream {name!r} declares no salt; its "
-                    f"entropy would collide with the unsalted sibling "
-                    f"stream of the same link index"))
-        # Salt collisions: a fault stream sharing a salt with any other
-        # salted stream folds two logically distinct streams into one.
-        for name in sorted(fault_names):
-            info = streams.get(name)
-            if info is None or "salt" not in info:
-                continue
-            for other, other_info in sorted(streams.items()):
-                if other != name and other_info.get("salt") == info["salt"]:
-                    findings.append(Finding(
-                        STREAMS_RELPATH, 1, 0, self.id,
-                        f"fault stream {name!r} shares salt "
-                        f"{info['salt']:#x} with stream {other!r}; salted "
-                        f"streams must have pairwise distinct salts"))
-        return findings
-
-
-# --- resilience-idempotent-retry ----------------------------------------------
-
-def _parse_task_allowlist(tree: ast.Module, rule_id: str):
-    """``(names, findings, lineno)`` from the IDEMPOTENT_TASKS literal."""
-    findings: list[Finding] = []
-    for node in tree.body:
-        if isinstance(node, ast.AnnAssign) and \
-                isinstance(node.target, ast.Name) and \
-                node.target.id == TASK_ALLOWLIST_NAME:
-            value = node.value
-        elif isinstance(node, ast.Assign) and any(
-                isinstance(t, ast.Name) and t.id == TASK_ALLOWLIST_NAME
-                for t in node.targets):
-            value = node.value
-        else:
-            continue
-        names: list[str] = []
-        if not isinstance(value, ast.Tuple):
-            findings.append(Finding(
-                RESILIENCE_RELPATH, node.lineno, node.col_offset, rule_id,
-                f"{TASK_ALLOWLIST_NAME} must be a literal tuple of "
-                f"(dotted_function_name, justification) pairs"))
-            return names, findings, node.lineno
-        for elt in value.elts:
-            if (isinstance(elt, ast.Tuple) and len(elt.elts) == 2
-                    and all(isinstance(e, ast.Constant)
-                            and isinstance(e.value, str)
-                            for e in elt.elts)):
-                name, why = (e.value for e in elt.elts)
-                if not why.strip():
-                    findings.append(Finding(
-                        RESILIENCE_RELPATH, elt.lineno, elt.col_offset,
-                        rule_id,
-                        f"{TASK_ALLOWLIST_NAME} entry {name!r} has an "
-                        f"empty justification"))
-                names.append(name)
-            else:
-                findings.append(Finding(
-                    RESILIENCE_RELPATH, elt.lineno, elt.col_offset, rule_id,
-                    f"{TASK_ALLOWLIST_NAME} entries must be literal "
-                    f"(dotted_function_name, justification) string pairs"))
-        return names, findings, node.lineno
-    return None, findings, 1
-
-
-def _module_of(relpath: str) -> str:
-    """Dotted module of a root-relative path (root == the repro pkg)."""
-    parts = relpath[:-3].split("/")
-    if parts and parts[-1] == "__init__":
-        parts = parts[:-1]
-    return ".".join(["repro"] + parts)
-
-
-def _entry_defined(root: Path, entry: str) -> bool:
+def _entry_defined(index, entry: str) -> bool:
     """Does allowlist entry ``entry`` name a real module-level function?"""
-    if not entry.startswith("repro."):
+    module, _, func = entry.rpartition(".")
+    if not module.startswith(PACKAGE + "."):
         return False
-    parts = entry.split(".")
-    module_parts, func = parts[1:-1], parts[-1]
-    if not module_parts:
-        return False
-    tree = _parse_tree(root, "/".join(module_parts) + ".py")
-    if tree is None:
-        return False
-    return any(isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-               and node.name == func for node in tree.body)
+    info = index.modules.get(module[len(PACKAGE) + 1:])
+    return info is not None and func in info.functions
 
 
 class ResilienceRetryRule(ProjectRule):
@@ -308,7 +43,6 @@ class ResilienceRetryRule(ProjectRule):
                    "functions on the justified IDEMPOTENT_TASKS allowlist "
                    "(retries re-run them)")
     family = "resilience"
-    anchors = (RESILIENCE_RELPATH, "eval/")
 
     def _task_arg(self, call: ast.Call) -> ast.AST | None:
         for kw in call.keywords:
@@ -318,23 +52,23 @@ class ResilienceRetryRule(ProjectRule):
             return call.args[1]
         return None
 
-    def check_project(self, root: Path) -> list:
-        root = Path(root)
-        resilience_tree = _parse_tree(root, RESILIENCE_RELPATH)
+    def check_project(self, index) -> list:
         allow: list[str] | None = None
         findings: list[Finding] = []
         allow_line = 1
-        if resilience_tree is not None:
-            allow, findings, allow_line = _parse_task_allowlist(
-                resilience_tree, self.id)
+        pool_module = index.module_at(RESILIENCE_RELPATH)
+        if pool_module is not None:
+            allow, findings, allow_line = parse_allowlist(
+                pool_module.tree, TASK_ALLOWLIST_NAME, RESILIENCE_RELPATH,
+                self.id)
 
         used: set[str] = set()
         sites = 0
-        for relpath, tree in _iter_sources(root):
-            if relpath == RESILIENCE_RELPATH:
+        for info in sorted(index.modules.values(), key=lambda m: m.relpath):
+            if info.relpath == RESILIENCE_RELPATH:
                 continue  # the pool's own definition is not a call site
-            module = _module_of(relpath)
-            for node in ast.walk(tree):
+            module = f"{PACKAGE}.{info.module}" if info.module else PACKAGE
+            for node in ast.walk(info.tree):
                 if not isinstance(node, ast.Call):
                     continue
                 func = dotted_name(node.func)
@@ -351,7 +85,7 @@ class ResilienceRetryRule(ProjectRule):
                         used.add(full)
                         continue
                     findings.append(Finding(
-                        relpath, arg.lineno, arg.col_offset, self.id,
+                        info.relpath, arg.lineno, arg.col_offset, self.id,
                         f"ResilientPool task {full!r} is not on "
                         f"{TASK_ALLOWLIST_NAME}; retries re-run the task, "
                         f"so list it with an idempotency justification"))
@@ -363,12 +97,12 @@ class ResilienceRetryRule(ProjectRule):
                         used.add(match)
                         continue
                     findings.append(Finding(
-                        relpath, arg.lineno, arg.col_offset, self.id,
+                        info.relpath, arg.lineno, arg.col_offset, self.id,
                         f"ResilientPool task {full!r} matches no "
                         f"{TASK_ALLOWLIST_NAME} entry"))
                 else:
                     findings.append(Finding(
-                        relpath, arg.lineno, arg.col_offset, self.id,
+                        info.relpath, arg.lineno, arg.col_offset, self.id,
                         f"ResilientPool task must be a module-level "
                         f"function named on {TASK_ALLOWLIST_NAME}, not an "
                         f"inline expression (workers re-import it by "
@@ -382,7 +116,7 @@ class ResilienceRetryRule(ProjectRule):
                 f"{RESILIENCE_RELPATH}; declare the allowlist so retry "
                 f"safety stays auditable"))
         for entry in allow or ():
-            if not _entry_defined(root, entry):
+            if not _entry_defined(index, entry):
                 findings.append(Finding(
                     RESILIENCE_RELPATH, allow_line, 0, self.id,
                     f"stale {TASK_ALLOWLIST_NAME} entry {entry!r}: no "

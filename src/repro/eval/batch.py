@@ -26,10 +26,10 @@ from the cell's own scenario seed, so generators always trace to a
 cell-indexed derivation through the :mod:`repro.netsim.rngstreams`
 registry and no two cells ever share one.  The batch layer itself
 never mints or drains a stream.  ``repro.analysis``'s ``isolation``
-rule family machine-checks all of this: the static rules read
-:data:`SHARED_IMMUTABLE_ALLOWLIST` below, and the live rule walks two
-probe cells' object graphs asserting no unlisted mutable object is
-reachable from both.
+rule family checks this statically against
+:data:`SHARED_IMMUTABLE_ALLOWLIST` below, and ``tests/test_batch.py``
+walks two built cells' object graphs asserting no unlisted mutable
+object is reachable from both.
 """
 
 from __future__ import annotations
@@ -50,11 +50,11 @@ __all__ = ["SHARED_IMMUTABLE_ALLOWLIST", "BatchCell", "BatchRunner",
 #: Justified shared-immutable allowlist: the only names through which
 #: an object created outside the per-cell build loop may flow into a
 #: cell.  Each entry is ``(binding_name, justification)``.  The replint
-#: ``isolation`` family parses this tuple straight from the AST: the
-#: ``batch-shared-mutable`` rule flags any outside-loop binding handed
-#: to a cell build under a name not listed here, and the live
-#: ``batch-cell-isolation`` rule independently verifies the objects
-#: those names carry really are immutable at share time.
+#: ``batch-shared-mutable`` rule parses this tuple straight from the
+#: AST and flags any outside-loop binding handed to a cell build under
+#: a name not listed here; the two-cell isolation test in
+#: ``tests/test_batch.py`` independently verifies the objects those
+#: names carry really are immutable at share time.
 SHARED_IMMUTABLE_ALLOWLIST: tuple[tuple[str, str], ...] = (
     ("trace_cache",
      "named-trace instances are pure time->capacity functions, memoized "
@@ -132,8 +132,7 @@ class BatchRunner:
         """Construct every cell, sharing one frozen named-trace cache.
 
         Build failures are captured per cell, not raised.  Exposed for
-        the replint ``batch-cell-isolation`` probe and the isolation
-        tests, which inspect built-but-unrun cells.
+        the isolation tests, which inspect built-but-unrun cells.
         """
         if self.prewarm:
             warm_agent_refs(scenarios)

@@ -3,13 +3,14 @@
 Three layers:
 
 * the tier-1 gate -- the full default rule set over the installed
-  ``repro`` package yields **zero** findings with the shipped (empty)
-  baseline;
+  ``repro`` package yields **zero** findings.  It is the one
+  whole-repo analysis of the session; the live-tree tests below query
+  the index it parsed;
 * fixture-backed rule tests -- each rule family fires on its minimal
   known-bad example under ``tests/fixtures/replint/`` (parsed, never
   imported);
-* mechanism tests -- suppressions, the baseline, ``--changed-only``
-  anchors, and the CLI's exit codes / JSON shape.
+* mechanism tests -- suppressions, explicit-file scoping, and the
+  CLI's exit codes / JSON / SARIF shape.
 """
 
 import ast
@@ -23,36 +24,28 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis import (Analyzer, Baseline, Finding, ProjectIndex,
-                            all_rules, rules_by_id)
-from repro.analysis.core import default_root, parse_suppressions
+from repro.analysis import Analyzer, all_rules, rules_by_id
+from repro.analysis.core import parse_suppressions
 from repro.analysis.rules_batch import (
-    BatchIsolationRule,
     BatchRngRule,
     BatchSharedMutableRule,
-    check_batch_source,
-    check_cell_isolation,
+    check_batch_tree,
 )
 from repro.analysis.rules_dataflow import (ENV_ALLOWLIST, EnvTaintRule,
                                            RngStreamOwnershipRule,
                                            SignaturePurityRule)
-from repro.analysis.rules_engine import check_engine_source
+from repro.analysis.rules_engine import check_engine_tree
 from repro.analysis.rules_fingerprint import (
     CoverageSpec,
     check_coverage,
     consumed_attrs,
     default_specs,
 )
-from repro.analysis.rules_resilience import (
-    FaultSignatureCoverageRule,
-    FaultStreamDeclarationRule,
-    ResilienceRetryRule,
-)
+from repro.analysis.rules_resilience import ResilienceRetryRule
 from repro.eval import scenarios
 
 FIXTURES = Path(__file__).parent / "fixtures" / "replint"
 REPO = Path(__file__).parent.parent
-SRC_ROOT = REPO / "src" / "repro"
 
 
 def run_rule(rule_id: str, fixture: str):
@@ -62,20 +55,33 @@ def run_rule(rule_id: str, fixture: str):
     return rule.check(ast.parse(source), source, fixture)
 
 
-class TestRepoClean:
-    """The tier-1 gate: zero findings on the repo, empty baseline."""
+def project_findings(rule, root):
+    """Run one project rule over a whole (fixture) tree."""
+    return Analyzer(root=root, rules=[rule]).analyze()
 
-    def test_default_analysis_is_clean(self):
-        findings = Analyzer().analyze()
+
+@pytest.fixture(scope="module")
+def live():
+    """The one whole-repo analysis: ``(findings, index)``."""
+    analyzer = Analyzer()
+    return analyzer.analyze(), analyzer.index
+
+
+@pytest.fixture(scope="module")
+def live_index(live):
+    return live[1]
+
+
+class TestRepoClean:
+    """The tier-1 gate: zero findings on the repo."""
+
+    def test_default_analysis_is_clean(self, live):
+        findings, _ = live
         assert findings == [], "\n".join(str(f) for f in findings)
 
-    def test_shipped_baseline_is_empty(self):
-        baseline = Baseline.load(REPO / ".replint-baseline.json")
-        assert len(baseline) == 0
-
-    def test_real_engine_passes_event_table_check(self):
-        source = (SRC_ROOT / "netsim" / "network.py").read_text()
-        assert check_engine_source(source, "netsim/network.py") == []
+    def test_real_engine_passes_event_table_check(self, live_index):
+        tree = live_index.module_at("netsim/network.py").tree
+        assert check_engine_tree(tree, "netsim/network.py") == []
 
     def test_default_fingerprint_specs_are_clean(self):
         for spec in default_specs():
@@ -123,7 +129,7 @@ class TestDeterminismRules:
 class TestEngineRules:
     def test_event_table_fixture_yields_all_three_defects(self):
         source = (FIXTURES / "bad_engine_table.py").read_text()
-        findings = check_engine_source(source, "bad_engine_table.py")
+        findings = check_engine_tree(ast.parse(source), "bad_engine_table.py")
         messages = " | ".join(f.message for f in findings)
         assert len(findings) == 3
         assert "range(2)" in messages
@@ -207,8 +213,8 @@ class TestProjectIndex:
     depend on -- checked against the live package."""
 
     @pytest.fixture(scope="class")
-    def index(self):
-        return ProjectIndex(SRC_ROOT)
+    def index(self, live_index):
+        return live_index
 
     def test_function_level_import_resolves(self, index):
         # AgentRef.resolve imports default_zoo *inside* the method; the
@@ -266,8 +272,8 @@ class TestDataflowRules:
         assert "local_shadow" not in messages
 
     def test_stream_ownership_fires_on_every_declaration_defect(self):
-        findings = RngStreamOwnershipRule().check_project(
-            FIXTURES / "proj_rng_bad")
+        findings = project_findings(RngStreamOwnershipRule(),
+                                    FIXTURES / "proj_rng_bad")
         messages = " | ".join(f.message for f in findings)
         assert "np.random.default_rng(...) constructs an undeclared" \
             in messages
@@ -280,7 +286,8 @@ class TestDataflowRules:
         assert "remove the stale note" in messages            # g.stale's note
 
     def test_env_taint_follows_the_call_chain(self):
-        findings = EnvTaintRule().check_project(FIXTURES / "proj_env_bad")
+        findings = project_findings(EnvTaintRule(),
+                                    FIXTURES / "proj_env_bad")
         messages = " | ".join(f.message for f in findings)
         # read in a sensitive module
         assert "'SIM_SPEED_HACK'" in messages
@@ -295,14 +302,15 @@ class TestDataflowRules:
         # The fixture tree reads none of the allowlisted variables, so
         # every entry must be reported stale -- the same mechanism that
         # keeps the real allowlist honest.
-        findings = EnvTaintRule().check_project(FIXTURES / "proj_env_bad")
+        findings = project_findings(EnvTaintRule(),
+                                    FIXTURES / "proj_env_bad")
         stale = {f.message.split("'")[1] for f in findings
                  if "stale ENV_ALLOWLIST" in f.message}
         assert stale == set(ENV_ALLOWLIST)
 
     def test_signature_purity_fires_incl_one_level_callees(self):
-        findings = SignaturePurityRule().check_project(
-            FIXTURES / "proj_sig_bad")
+        findings = project_findings(SignaturePurityRule(),
+                                    FIXTURES / "proj_sig_bad")
         messages = " | ".join(f.message for f in findings)
         assert "stores into 'self'" in messages
         assert "reads the environment" in messages
@@ -316,8 +324,8 @@ class TestIsolationRules:
     """The batched-execution cross-cell isolation family."""
 
     def test_shared_mutable_fires_and_reports_stale_entry(self):
-        findings = BatchSharedMutableRule().check_project(
-            FIXTURES / "proj_batch_bad")
+        findings = project_findings(BatchSharedMutableRule(),
+                                    FIXTURES / "proj_batch_bad")
         messages = " | ".join(f.message for f in findings)
         assert "'SHARED_REGISTRY' is created outside the per-cell loop" \
             in messages
@@ -329,7 +337,7 @@ class TestIsolationRules:
                   "    for s in scenarios:\n"
                   "        build_scenario_simulation(s, cache)\n")
         messages = " | ".join(f.message
-                              for f in check_batch_source(source))
+                              for f in check_batch_tree(ast.parse(source)))
         assert "no module-level SHARED_IMMUTABLE_ALLOWLIST" in messages
         assert "'cache'" in messages  # the unlisted shared binding too
 
@@ -339,7 +347,7 @@ class TestIsolationRules:
                   "    for s in scenarios:\n"
                   "        cache = {}\n"  # fresh per cell: fine
                   "        sim = build_scenario_simulation(s, cache)\n")
-        assert check_batch_source(source) == []
+        assert check_batch_tree(ast.parse(source)) == []
 
     def test_rng_rule_fires_on_mint_and_drain(self):
         source = (FIXTURES / "proj_batch_bad" / "eval" / "batch.py") \
@@ -351,50 +359,11 @@ class TestIsolationRules:
         assert "mints an RNG stream in the batch layer" in messages
         assert "draws from an RNG stream in the batch layer" in messages
 
-    def test_live_batch_layer_passes_static_rules(self):
-        assert BatchSharedMutableRule().check_project(SRC_ROOT) == []
-        source = (SRC_ROOT / "eval" / "batch.py").read_text()
-        assert BatchRngRule().check(ast.parse(source), source,
+    def test_live_batch_layer_passes_static_rules(self, live_index):
+        assert BatchSharedMutableRule().check_project(live_index) == []
+        info = live_index.module_at("eval/batch.py")
+        assert BatchRngRule().check(info.tree, info.source,
                                     "eval/batch.py") == []
-
-    def test_isolation_walker_flags_shared_dict_and_generator(self):
-        import numpy as np
-
-        class FakeState:
-            def __init__(self, shared, rng):
-                self.shared = shared
-                self.rng = rng
-
-        registry = {"x": [1]}
-        rng = np.random.default_rng(3)
-        findings = check_cell_isolation(
-            [FakeState(registry, rng), FakeState(registry, rng)])
-        messages = " | ".join(f.message for f in findings)
-        assert "mutable builtins.dict is reachable from 2 cells" in messages
-        assert "Generator is reachable from 2 cells" in messages
-        assert "cell-indexed stream" in messages
-
-    def test_isolation_walker_accepts_frozen_shared_trace(self):
-        from repro.netsim.traces import freeze_trace, make_trace
-
-        class FakeState:
-            def __init__(self, trace):
-                self.trace = trace
-                self.own = {"per-cell": []}  # mutable but unshared
-
-        trace = freeze_trace(make_trace("wifi-walk"))
-        findings = check_cell_isolation([FakeState(trace),
-                                         FakeState(trace)])
-        assert findings == []
-
-    def test_live_two_cell_probe_is_clean(self):
-        assert BatchIsolationRule().check_project(default_root()) == []
-
-    def test_probe_skips_foreign_roots(self):
-        # Fixture trees are covered by the static rules; the live probe
-        # must not attribute installed-tree results to them.
-        assert BatchIsolationRule().check_project(
-            FIXTURES / "proj_batch_bad") == []
 
 
 class TestSuppressionsAndBaseline:
@@ -416,18 +385,6 @@ class TestSuppressionsAndBaseline:
         assert per_line[3] == {"all"}
         assert file_wide == {"set-iteration"}
 
-    def test_baseline_roundtrip_and_split(self, tmp_path):
-        f1 = Finding("a.py", 3, 0, "unseeded-rng", "msg one")
-        f2 = Finding("b.py", 9, 4, "wall-clock", "msg two")
-        path = tmp_path / "baseline.json"
-        Baseline.write(path, [f1])
-        kept, n_baselined = Baseline.load(path).split([f1, f2])
-        assert kept == [f2] and n_baselined == 1
-        # drifted line number, same (rule, path, message): still accepted
-        moved = Finding("a.py", 99, 7, "unseeded-rng", "msg one")
-        kept, n_baselined = Baseline.load(path).split([moved])
-        assert kept == [] and n_baselined == 1
-
     def test_syntax_error_becomes_parse_error_finding(self, tmp_path):
         bad = tmp_path / "broken.py"
         bad.write_text("def f(:\n")
@@ -443,24 +400,20 @@ class TestAnalyzerScoping:
         assert rule.applies_to("eval/parallel.py")
         assert not rule.applies_to("rl/policy.py")
 
-    def test_prefix_anchor_matches_any_file_under_directory(self):
-        rule = rules_by_id()["rng-stream-ownership"]
-        assert rule.anchors == ("netsim/",)
-        assert rule.anchored_by({"netsim/link.py"})
-        assert rule.anchored_by({"netsim/rngstreams.py", "rl/policy.py"})
-        assert not rule.anchored_by({"eval/parallel.py"})
-        # "netsim/" must not match a *file* named netsim elsewhere
-        assert not rule.anchored_by({"rl/netsim.py"})
-
-    def test_explicit_file_list_skips_unanchored_project_rules(self, tmp_path):
+    def test_explicit_file_list_runs_ast_rules_only(self, tmp_path):
         pkg = tmp_path / "pkg"
-        pkg.mkdir()
-        other = pkg / "other.py"
-        other.write_text("x = 1\n")
+        (pkg / "eval").mkdir(parents=True)
+        runner = pkg / "eval" / "runner.py"
+        # an AST defect (transmit-unpack) next to a project-rule defect
+        # (a pool task with no IDEMPOTENT_TASKS allowlist)
+        runner.write_text("def task(arg):\n    return arg\n\n"
+                          "pool = ResilientPool(2, task)\n"
+                          "a, b = link.transmit(pkt, 0.0)\n")
         analyzer = Analyzer(root=pkg, rules=all_rules())
-        # fingerprint/event-table project rules are anchored on files
-        # not in this list, so analyzing it must not import/introspect
-        assert analyzer.analyze([other]) == []
+        assert {f.rule for f in analyzer.analyze([runner])} == \
+            {"transmit-unpack"}
+        assert {f.rule for f in analyzer.analyze()} == \
+            {"transmit-unpack", "resilience-idempotent-retry"}
 
 
 def _run_cli(*args, cwd=None):
@@ -471,9 +424,21 @@ def _run_cli(*args, cwd=None):
         capture_output=True, text=True, cwd=cwd or REPO, env=env)
 
 
+def _clean_package(tmp_path):
+    """A small package every rule passes: the CLI's clean-run target."""
+    pkg = tmp_path / "pkg"
+    pkg.mkdir()
+    (pkg / "walk.py").write_text(
+        "import os\n\n\n"
+        "def listing(path):\n"
+        "    return sorted(os.listdir(path))\n")
+    return pkg
+
+
 class TestCli:
-    def test_repo_run_is_clean_json(self):
-        proc = _run_cli("--format=json")
+    def test_repo_run_is_clean_json(self, tmp_path):
+        proc = _run_cli("--format=json", "--root",
+                        str(_clean_package(tmp_path)))
         assert proc.returncode == 0, proc.stdout + proc.stderr
         payload = json.loads(proc.stdout)
         assert payload["findings"] == []
@@ -482,7 +447,7 @@ class TestCli:
     def test_findings_fail_with_exit_one(self):
         # transmit-unpack applies to every package, so it fires even
         # though the fixture tree is outside netsim/baselines/eval
-        proc = _run_cli("--format=json", "--no-baseline",
+        proc = _run_cli("--format=json",
                         str(FIXTURES / "bad_transmit_unpack.py"),
                         "--root", str(FIXTURES))
         assert proc.returncode == 1
@@ -500,7 +465,7 @@ class TestCli:
         # rule lines are indented under their family header
         assert "\n  unseeded-rng" in proc.stdout
         assert "\n  rng-stream-ownership" in proc.stdout
-        assert "\n  batch-cell-isolation" in proc.stdout
+        assert "\n  resilience-idempotent-retry" in proc.stdout
 
     def test_unknown_select_is_usage_error(self):
         proc = _run_cli("--select", "no-such-rule")
@@ -533,12 +498,6 @@ class TestCli:
         assert proc.returncode == 0
         assert "unseeded-rng" in proc.stdout
 
-    def test_changed_only_smoke(self):
-        proc = _run_cli("--changed-only")
-        # Exit 0 both when the worktree is clean ("no changed files")
-        # and when changed files carry no findings.
-        assert proc.returncode == 0, proc.stdout + proc.stderr
-
 
 class TestSarif:
     """SARIF 2.1.0 output: structurally valid, one result per finding,
@@ -567,8 +526,9 @@ class TestSarif:
             assert loc["region"]["startColumn"] >= 1
         return run
 
-    def test_clean_repo_sarif_validates_with_empty_results(self):
-        proc = _run_cli("--format=sarif")
+    def test_clean_repo_sarif_validates_with_empty_results(self, tmp_path):
+        proc = _run_cli("--format=sarif", "--root",
+                        str(_clean_package(tmp_path)))
         assert proc.returncode == 0, proc.stdout + proc.stderr
         run = self._validate(json.loads(proc.stdout))
         assert run["results"] == []
@@ -578,7 +538,7 @@ class TestSarif:
                 "signature-purity"} <= ids
 
     def test_one_result_per_finding_with_repo_relative_uris(self):
-        proc = _run_cli("--format=sarif", "--no-baseline",
+        proc = _run_cli("--format=sarif",
                         str(FIXTURES / "bad_transmit_unpack.py"),
                         "--root", str(FIXTURES))
         assert proc.returncode == 1
@@ -593,82 +553,11 @@ class TestSarif:
 
     def test_suppressed_findings_are_excluded(self):
         rule_path = str(FIXTURES / "suppressed.py")
-        proc = _run_cli("--format=sarif", "--no-baseline", rule_path,
+        proc = _run_cli("--format=sarif", rule_path,
                         "--root", str(FIXTURES))
         assert proc.returncode == 0, proc.stdout + proc.stderr
         run = self._validate(json.loads(proc.stdout))
         assert run["results"] == []
-
-
-class TestChangedOnlyRegression:
-    """Satellite regression: project-scope rules must run under
-    --changed-only whenever an anchor file is in the git diff, and
-    untracked files must count as changed."""
-
-    @pytest.fixture()
-    def temp_repo(self, tmp_path):
-        (tmp_path / "src" / "pkg" / "netsim").mkdir(parents=True)
-        root = tmp_path / "src" / "pkg"
-        registry = root / "netsim" / "rngstreams.py"
-        registry.write_text(
-            "class StreamDef:\n"
-            "    pass\n"
-            "STREAMS = ()\n")
-        engine = root / "netsim" / "engine.py"
-        engine.write_text("x = 1\n")
-
-        def git(*args):
-            proc = subprocess.run(
-                ["git", "-c", "user.email=t@t", "-c", "user.name=t",
-                 *args], cwd=tmp_path, capture_output=True, text=True)
-            assert proc.returncode == 0, proc.stderr
-            return proc
-
-        git("init", "-q")
-        git("add", "-A")
-        git("commit", "-qm", "seed")
-        return tmp_path, root, engine
-
-    def _replint(self, tmp_path, root, *args):
-        return _run_cli("--changed-only", "--no-baseline",
-                        "--select=rng-stream-ownership",
-                        "--root", str(root), *args, cwd=tmp_path)
-
-    def test_clean_worktree_analyzes_nothing(self, temp_repo):
-        tmp_path, root, _ = temp_repo
-        proc = self._replint(tmp_path, root)
-        assert proc.returncode == 0
-        assert "no changed files" in proc.stdout
-
-    def test_modified_anchor_file_triggers_project_rule(self, temp_repo):
-        tmp_path, root, engine = temp_repo
-        engine.write_text(
-            "import numpy as np\n"
-            "def build(seed):\n"
-            "    return np.random.default_rng(seed)\n")
-        proc = self._replint(tmp_path, root)
-        assert proc.returncode == 1, proc.stdout + proc.stderr
-        assert "rng-stream-ownership" in proc.stdout
-
-    def test_untracked_anchor_file_triggers_project_rule(self, temp_repo):
-        # A brand-new file is invisible to `git diff HEAD` until staged;
-        # the ls-files fallback must still pick it up.
-        tmp_path, root, _ = temp_repo
-        fresh = root / "netsim" / "fresh.py"
-        fresh.write_text(
-            "import numpy as np\n"
-            "def mint(seed):\n"
-            "    return np.random.default_rng(seed)\n")
-        proc = self._replint(tmp_path, root)
-        assert proc.returncode == 1, proc.stdout + proc.stderr
-        assert "rng-stream-ownership" in proc.stdout
-        assert "fresh.py" in proc.stdout
-
-    def test_non_anchor_change_skips_project_rule(self, temp_repo):
-        tmp_path, root, _ = temp_repo
-        (root / "other.py").write_text("y = 2\n")
-        proc = self._replint(tmp_path, root)
-        assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
 class TestFixturesStayBad:
@@ -697,30 +586,11 @@ class TestFixturesStayBad:
 
 
 class TestFaultResilienceRules:
-    """The fault-injection / resilient-runtime rule family."""
-
-    def test_fault_signature_coverage_fires(self):
-        findings = FaultSignatureCoverageRule().check_project(
-            FIXTURES / "proj_faults_bad")
-        messages = " | ".join(f.message for f in findings)
-        assert "field 'secret_knob' of fault spec LeakySpec is missing " \
-               "from _signature_fields" in messages
-        assert "stale _signature_fields entry 'ghost_field'" in messages
-        assert "fault spec UnsignedSpec declares no _signature_fields" \
-            in messages
-
-    def test_fault_stream_declaration_fires(self):
-        findings = FaultStreamDeclarationRule().check_project(
-            FIXTURES / "proj_faults_bad")
-        messages = " | ".join(f.message for f in findings)
-        assert "'link.fault-undeclared' is minted here but not declared" \
-            in messages
-        assert "'link.fault-flap' must derive 'salted-indexed'" in messages
-        assert "shares salt 0x464c4150 with stream 'link.loss'" in messages
+    """The resilient-runtime rule."""
 
     def test_retry_rule_fires_on_unlisted_stale_and_inline(self):
-        findings = ResilienceRetryRule().check_project(
-            FIXTURES / "proj_resilience_bad")
+        findings = project_findings(ResilienceRetryRule(),
+                                    FIXTURES / "proj_resilience_bad")
         messages = " | ".join(f.message for f in findings)
         assert "'repro.eval.sweep._unlisted_task' is not on " \
                "IDEMPOTENT_TASKS" in messages
@@ -740,10 +610,8 @@ class TestFaultResilienceRules:
             "pool = ResilientPool(2, task)\n")
         messages = " | ".join(
             f.message
-            for f in ResilienceRetryRule().check_project(tmp_path))
+            for f in project_findings(ResilienceRetryRule(), tmp_path))
         assert "no module-level IDEMPOTENT_TASKS is declared" in messages
 
-    def test_family_is_clean_on_the_live_tree(self):
-        for rule in (FaultSignatureCoverageRule(),
-                     FaultStreamDeclarationRule(), ResilienceRetryRule()):
-            assert rule.check_project(SRC_ROOT) == [], rule.id
+    def test_family_is_clean_on_the_live_tree(self, live_index):
+        assert ResilienceRetryRule().check_project(live_index) == []

@@ -11,10 +11,16 @@ Three guarantees, layered:
   bit-identical to running it solo -- pinned here across every perf
   shape, and at the runner level by the serial == process-parallel ==
   batched identity grid.
+* **Cells share nothing mutable.**  Walking two built cells' object
+  graphs finds no mutable object reachable from both, apart from the
+  frozen named traces ``SHARED_IMMUTABLE_ALLOWLIST`` justifies.
 * **Failures stay per cell.**  A mid-batch ``ScenarioError`` surfaces
   the failing cell's name while its batch siblings complete (and
   cache).
 """
+
+import gc
+import types
 
 import numpy as np
 import pytest
@@ -37,6 +43,7 @@ from repro.eval.resilience import records_digest
 from repro.eval.runner import EvalNetwork
 from repro.netsim.network import SimState
 from repro.netsim.topology import parking_lot
+from repro.netsim.traces import BandwidthTrace, freeze_trace, make_trace
 
 
 def solo_digest(scenario) -> str:
@@ -174,8 +181,8 @@ class TestBatchRunner:
             assert records_digest(cell.records) == solo_digest(good)
 
     def test_allowlist_shape(self):
-        # The replint isolation rules parse this structure from the AST;
-        # keep it literal (name, justification) pairs.
+        # The replint batch-shared-mutable rule parses this structure
+        # from the AST; keep it literal (name, justification) pairs.
         for name, justification in SHARED_IMMUTABLE_ALLOWLIST:
             assert isinstance(name, str) and name
             assert isinstance(justification, str) and justification.strip()
@@ -183,6 +190,138 @@ class TestBatchRunner:
     def test_warm_agent_refs_accepts_classical_schemes(self):
         # No AgentRefs anywhere: must be a no-op, not a crash.
         warm_agent_refs(perf_scenarios("single-bottleneck", duration=0.3))
+
+
+#: Never traversed (and never reported): code/metadata objects shared
+#: by construction, not by the batch layer.
+_PRUNE_TYPES = (type, types.ModuleType, types.FunctionType,
+                types.BuiltinFunctionType, types.CodeType,
+                types.GetSetDescriptorType, types.MemberDescriptorType,
+                types.MappingProxyType, property, staticmethod, classmethod)
+
+#: Traversed but never reported: immutable values (or pure references
+#: whose targets are themselves walked, like tuples and bound methods).
+_INERT_TYPES = (str, bytes, bool, int, float, complex, type(None),
+                frozenset, range, slice, tuple, types.MethodType)
+
+
+def _reachable(obj) -> dict:
+    """``{id: object}`` for everything reachable from ``obj``."""
+    seen: dict = {}
+    stack = [obj]
+    while stack:
+        cur = stack.pop()
+        if id(cur) in seen or isinstance(cur, _PRUNE_TYPES):
+            continue
+        seen[id(cur)] = cur
+        stack.extend(gc.get_referents(cur))
+    return seen
+
+
+def _frozen_trace(obj) -> bool:
+    """The live counterpart of the declared allowlist: frozen traces."""
+    return isinstance(obj, BandwidthTrace) and all(
+        not value.flags.writeable for value in vars(obj).values()
+        if isinstance(value, np.ndarray))
+
+
+def _is_frozen_dataclass(obj) -> bool:
+    params = getattr(type(obj), "__dataclass_params__", None)
+    return params is not None and params.frozen
+
+
+def shared_mutables(states, allowed=_frozen_trace) -> list[str]:
+    """One message per mutable object reachable from >= 2 of ``states``.
+
+    ``states`` root each cell's object graph (its :class:`SimState`).
+    ``allowed(obj)`` says whether a shared object is justified -- the
+    default accepts only traces whose arrays are frozen read-only,
+    mirroring ``SHARED_IMMUTABLE_ALLOWLIST``.
+    """
+    graphs = [_reachable(state) for state in states]
+    counts: dict = {}
+    for graph in graphs:
+        for obj_id in graph:
+            counts[obj_id] = counts.get(obj_id, 0) + 1
+    shared = [(next(g[obj_id] for g in graphs if obj_id in g), n)
+              for obj_id, n in counts.items() if n >= 2]
+
+    # A justified instance's attribute ``__dict__`` is the same asset,
+    # not an independent sharing channel -- exempt it alongside its
+    # owner (mutating it is already a hard fault for frozen arrays).
+    exempt_ids = {id(vars(obj)) for obj, _ in shared
+                  if hasattr(obj, "__dict__")
+                  and (_is_frozen_dataclass(obj) or allowed(obj))}
+
+    messages: set = set()
+    for obj, n in shared:
+        if id(obj) in exempt_ids:
+            continue
+        if isinstance(obj, _INERT_TYPES) or \
+                isinstance(obj, (np.dtype, np.generic)):
+            continue
+        if isinstance(obj, np.ndarray) and not obj.flags.writeable:
+            continue
+        if _is_frozen_dataclass(obj):
+            # The instance cannot be rebound; its field values are
+            # themselves in the walk and judged on their own.
+            continue
+        if allowed(obj):
+            continue
+        kind = f"{type(obj).__module__}.{type(obj).__qualname__}"
+        if isinstance(obj, (np.random.Generator, np.random.BitGenerator,
+                            np.random.SeedSequence)):
+            messages.add(
+                f"{kind} is reachable from {n} cells' SimStates; every "
+                f"generator handed to a cell must derive from that "
+                f"cell's own cell-indexed stream (rngstreams registry)")
+        else:
+            messages.add(
+                f"mutable {kind} is reachable from {n} cells' SimStates; "
+                f"cross-cell objects must be immutable and justified in "
+                f"SHARED_IMMUTABLE_ALLOWLIST")
+    return sorted(messages)
+
+
+class TestCellIsolation:
+    """The batch layer's isolation contract, checked on live objects."""
+
+    def test_two_probe_cells_share_nothing_mutable(self):
+        # Two classical-scheme cells sharing one named trace: cheap to
+        # build (no zoo resolution, nothing is run) yet exercising the
+        # exact sharing path -- make_trace(cache=...) -- batches use.
+        scenarios = ScenarioSuite(
+            name="isolation-probe", lineups=[("cubic", "bbr")],
+            traces=("wifi-walk",), seeds=(0, 1), duration=0.05).expand()
+        cells = BatchRunner(prewarm=False).build_cells(scenarios)
+        assert [c.error for c in cells] == [None, None]
+        traces = {id(link.trace) for cell in cells for link in cell.sim.links
+                  if isinstance(link.trace, BandwidthTrace)}
+        assert len(traces) == 1, "the probe cells must share their trace"
+        assert shared_mutables([cell.sim.state for cell in cells]) == []
+
+    def test_walker_flags_shared_dict_and_generator(self):
+        class FakeState:
+            def __init__(self, shared, rng):
+                self.shared = shared
+                self.rng = rng
+
+        registry = {"x": [1]}
+        rng = np.random.default_rng(3)
+        messages = " | ".join(shared_mutables(
+            [FakeState(registry, rng), FakeState(registry, rng)]))
+        assert "mutable builtins.dict is reachable from 2 cells" in messages
+        assert "Generator is reachable from 2 cells" in messages
+        assert "cell-indexed stream" in messages
+
+    def test_walker_accepts_frozen_shared_trace(self):
+        class FakeState:
+            def __init__(self, trace):
+                self.trace = trace
+                self.own = {"per-cell": []}  # mutable but unshared
+
+        trace = freeze_trace(make_trace("wifi-walk"))
+        assert shared_mutables([FakeState(trace), FakeState(trace)]) == []
 
 
 def identity_suite() -> list[Scenario]:

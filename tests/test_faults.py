@@ -17,6 +17,8 @@ Four layers of guarantees:
   serial, process-pool, and batched dispatch.
 """
 
+import dataclasses
+
 import pytest
 
 from repro.eval.parallel import ParallelRunner
@@ -26,6 +28,7 @@ from repro.eval.scenarios import (
     _topology_signature,
     build_scenario_simulation,
 )
+from repro.netsim import faults
 from repro.netsim.faults import (
     BlackoutWindow,
     FaultProcess,
@@ -73,11 +76,17 @@ class TestFaultSpecs:
             bad()
 
     def test_signature_covers_every_field(self):
-        # The replint fault-signature-coverage rule pins this statically;
-        # this is the live mirror: every dataclass field appears.
-        for spec in (FLAP, GE, BROWNOUT, BLACKOUT):
-            fields = set(spec.__dataclass_fields__)
-            assert fields == set(spec._signature_fields)
+        # Every fault-spec dataclass the module defines -- a new spec
+        # included -- lists exactly its fields in _signature_fields, so
+        # every knob reaches the topology fingerprint.
+        specs = [obj for obj in vars(faults).values()
+                 if isinstance(obj, type) and dataclasses.is_dataclass(obj)
+                 and obj.__module__ == faults.__name__]
+        assert {LinkFlapSchedule, GilbertElliottLoss, RateBrownout,
+                BlackoutWindow} <= set(specs)
+        for spec in specs:
+            fields = {f.name for f in dataclasses.fields(spec)}
+            assert fields == set(spec._signature_fields), spec.__name__
 
     def test_signature_changes_with_any_knob(self):
         base = fault_signature((FLAP,))

@@ -105,6 +105,22 @@ class TestDerivationContract:
                         f"{s.name} shares int-valued domain {domain!r} "
                         f"without a collision_note")
 
+    def test_salts_are_pairwise_distinct(self):
+        # Two streams sharing a salt fold two logically distinct
+        # streams into one wherever their other entropy coincides.
+        salts = [s.salt for s in STREAMS if s.salt is not None]
+        assert len(salts) == len(set(salts))
+
+    def test_fault_streams_derive_salted_indexed(self):
+        # Fault draws are disjoint from sibling per-link streams by salt
+        # and keyed by link position: entropy (seed, salt, link index).
+        fault_streams = [s for s in STREAMS
+                         if s.name.startswith("link.fault-")]
+        assert fault_streams
+        for s in fault_streams:
+            assert s.derive == "salted-indexed", s.name
+            assert s.salt is not None, s.name
+
     def test_stream_names_unique(self):
         names = [s.name for s in STREAMS]
         assert len(names) == len(set(names))
